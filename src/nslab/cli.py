@@ -5,7 +5,7 @@ keys (grid.N, solver.dt, harness.delta).  Each run writes its diagnostics,
 a verdict file whose entries carry the inequality tags they check, and a
 manifest listing every artifact; the exit status encodes the outcome
 (0 pass, 1 verdict fail, 2 usage or config error, 3 numerical abort).
-Identical config + seed + thread count reproduces byte-identical CSVs.
+Identical config + seed reproduces byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -282,22 +282,43 @@ def load_baselines():
 # data generators
 
 
+def _full_lattice_l2(u):
+    """sp.l2_norm of u, summed over the full mode lattice in ``fftn`` order.
+
+    The generators below normalise with this sum, so that their data keep,
+    bit for bit, the values they had when fields were stored on the full
+    lattice; verdicts made of rounding noise, such as cutoff-recession,
+    depend on those bits.  |c(-k)| = |c(k)| fills the bins kz > N/2.
+    """
+    N = u.grid.N
+    m = N // 2 + 1
+    neg = np.r_[0, N - 1:0:-1]
+    mag = np.abs(u.coeffs) ** 2
+    full = np.empty(mag.shape[:-1] + (N,))
+    full[..., :m] = mag
+    full[..., m:] = mag[..., neg, :, :][..., neg, m - 2:0:-1]
+    return float(np.sqrt(u.grid.L**3 * np.sum(full)))
+
+
 def _random_band_field(grid, seed, kmin, kmax, slope, amplitude, mean_zero):
-    rng = np.random.default_rng(seed)
-    shape = (3,) + grid.shape
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     kk = np.sqrt(grid.k_squared())
     band = (kk >= kmin) & (kk <= kmax)
     weight = np.zeros_like(kk)
     weight[band] = np.maximum(kk[band], 1.0) ** slope
-    coeffs *= weight
-    u = sp.vector_from_coeffs(grid, coeffs, hermitianize=True)
-    u = sp.leray_project(u)
+    rng = np.random.default_rng(seed)
+    shape = (3,) + grid.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # weighted before its Hermitian part is taken, as the data always were
+    # (see _full_lattice_l2); the weight depends on kz only through kz^2,
+    # so mirroring its last axis spreads it over the full draw
+    m = grid.N // 2 + 1
+    coeffs *= weight[..., np.r_[0:m, m - 2:0:-1]]
+    u = sp.leray_project(sp.vector_from_coeffs(grid, sp.hermitian_half(coeffs)))
     if mean_zero:
         c = u.coeffs.copy()
         c[:, 0, 0, 0] = 0.0
         u = sp.vector_from_coeffs(grid, c, divergence_free=True)
-    norm = sp.l2_norm(u)
+    norm = _full_lattice_l2(u)
     if norm == 0:
         raise ConfigError("random band is empty: no modes in [kmin, kmax]")
     return sp.vector_from_coeffs(grid, u.coeffs * (amplitude / norm),
@@ -339,10 +360,19 @@ def _small_packet_field(grid, center, width, n, amplitude, kmax=0.0):
         mult = lp_profile(np.sqrt(grid.k_squared()) / kmax)
         u = sp.vector_from_coeffs(grid, u.coeffs * mult[np.newaxis],
                                   divergence_free=True)
-    nrm = sp.l2_norm(u)
+    nrm = _full_lattice_l2(u)
     scalefac = amplitude / nrm if nrm > 0 else 0.0
     return sp.vector_from_coeffs(grid, scalefac * u.coeffs,
                                  divergence_free=True)
+
+
+def _grid(cfg: ExperimentConfig, L_key="grid.L", N_key="grid.N"):
+    """The SpectralGrid a config names; a bad period or resolution is a
+    config error, found before any data is generated."""
+    try:
+        return sp.make_grid(cfg.get(L_key), cfg.get(N_key))
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: {exc}") from None
 
 
 def generate_data(kind, cfg: ExperimentConfig, grid, seed=None) -> DataTriple:
@@ -500,7 +530,7 @@ def _solve_trajectory(cfg: ExperimentConfig, data):
 
 
 def _exp_solve(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     res = residual(traj, data, eps=cfg.get("solver.eps"))
@@ -513,7 +543,7 @@ def _exp_solve(cfg, art, baselines):
 
 
 def _exp_energy_budget(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     verdicts = []
@@ -537,7 +567,7 @@ def _exp_energy_budget(cfg, art, baselines):
 
 
 def _exp_total_speed(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     value, ratio = total_speed(traj, data)
@@ -556,7 +586,7 @@ def _tag_of(message):
 
 
 def _exp_enstrophy(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     ball = (cfg.require("harness.x0"), cfg.require("harness.R"))
@@ -581,7 +611,7 @@ def _exp_enstrophy(cfg, art, baselines):
 
 
 def _exp_localize(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     spec = AnnulusSpec(cfg.require("localize.R1"), cfg.require("localize.R2"),
                        cfg.require("localize.R3"), cfg.require("localize.R4"),
@@ -628,10 +658,9 @@ def _exp_counterexample(cfg, art, baselines):
     template = WavePacketSpec(
         n=8, component=cfg.get("counterexample.component"),
         psi_radius=cfg.get("counterexample.psi_radius"), **kwargs)
-    norm_grid = sp.make_grid(cfg.get("counterexample.norm_L"),
-                             cfg.get("counterexample.norm_N"))
-    pairing_grid = sp.make_grid(cfg.get("counterexample.pairing_L"),
-                                cfg.get("counterexample.pairing_N"))
+    norm_grid = _grid(cfg, "counterexample.norm_L", "counterexample.norm_N")
+    pairing_grid = _grid(cfg, "counterexample.pairing_L",
+                         "counterexample.pairing_N")
     table = growth_study(template, cfg.get("counterexample.n_list"),
                          norm_grid, pairing_grid)
     table.to_csv(art.path("growth.csv"))
@@ -657,7 +686,7 @@ def _exp_counterexample(cfg, art, baselines):
 
 
 def _exp_homogenize(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     f = [_random_band_field(grid, cfg.get("forcing.seed"),
                             cfg.get("forcing.kmin"), cfg.get("forcing.kmax"),
                             cfg.get("data.spectral_slope"),
@@ -685,7 +714,7 @@ def _exp_homogenize(cfg, art, baselines):
 
 
 def _exp_symmetry(cfg, art, baselines):
-    grid = sp.make_grid(cfg.get("grid.L"), cfg.get("grid.N"))
+    grid = _grid(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     eps = cfg.get("solver.eps")
@@ -749,7 +778,7 @@ _DISPATCH = {
 }
 
 
-def run(cfg: ExperimentConfig, outdir=None, threads=None) -> tuple:
+def run(cfg: ExperimentConfig, outdir=None) -> tuple:
     """Execute one experiment; returns (manifest, exit_code).
 
     A manifest is written even when the experiment errors out.
@@ -792,7 +821,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, experiment=args.experiment)
@@ -801,7 +829,7 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg.values["data.seed"] = args.seed
-    manifest, code = run(cfg, outdir=args.out, threads=args.threads)
+    manifest, code = run(cfg, outdir=args.out)
     for v in manifest.verdicts:
         print(v.line())
     if manifest.error:

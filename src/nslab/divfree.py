@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.fft
 from scipy.special import sph_harm_y
 
 from . import spectral as sp
@@ -59,8 +60,8 @@ class AnnulusSpec:
 
 @lru_cache(maxsize=8)
 class _SphereBasis:
-    """Spherical-harmonic synthesis/analysis tables on a Gauss-Legendre
-    (latitude) by uniform (longitude) grid."""
+    """Spherical-harmonic analysis tables on a Gauss-Legendre (latitude)
+    by uniform (longitude) grid."""
 
     def __init__(self, l_max: int, n_theta: int, n_phi: int):
         self.l_max = l_max
@@ -99,18 +100,6 @@ class _SphereBasis:
         integrand = np.conj(self.Y0) * fm[:, m_idx].T
         return integrand @ self.w
 
-    def synthesize(self, coeffs, theta=None, phi=None):
-        """Coefficients -> samples, on the native grid or given angles."""
-        if theta is None:
-            vals = coeffs[:, np.newaxis, np.newaxis] * self.Y0[:, :, np.newaxis] \
-                * np.exp(1j * np.outer(self.ms, self.phi))[:, np.newaxis, :]
-            return np.sum(vals, axis=0)
-        out = np.zeros(np.shape(theta), dtype=complex)
-        for i, (l, m) in enumerate(self.pairs):
-            if coeffs[i] != 0.0:
-                out += coeffs[i] * sph_harm_y(l, m, theta, phi)
-        return out
-
     def analyze_tangent(self, u_theta, u_phi):
         """Split tangential samples into spheroidal/toroidal coefficients.
 
@@ -130,16 +119,6 @@ class _SphereBasis:
         B[ll == 0] = 0.0
         C[ll == 0] = 0.0
         return B, C
-
-    def tangent_samples(self, B, C):
-        """Spheroidal/toroidal coefficients -> (u_theta, u_phi) samples."""
-        phase = np.exp(1j * np.outer(self.ms, self.phi))
-        dY = self.dY0[:, :, np.newaxis] * phase[:, np.newaxis, :]
-        mY = (1j * self.ms[:, np.newaxis] * self.Y0
-              / self.sin_t)[:, :, np.newaxis] * phase[:, np.newaxis, :]
-        u_t = np.einsum("i,ijk->jk", B, dY) - np.einsum("i,ijk->jk", C, mY)
-        u_p = np.einsum("i,ijk->jk", B, mY) + np.einsum("i,ijk->jk", C, dY)
-        return u_t, u_p
 
 
 def _cheb_nodes_matrix(n: int, a: float, b: float):
@@ -403,13 +382,14 @@ def spectral_sampler(u: VectorField, drop_tol: float = 1e-14,
     when O(h^2) interpolation accuracy is enough.
     """
     grid = u.grid
-    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
+    kx, ky, kz = grid.wavenumbers()
     mags = np.max(np.abs(u.coeffs), axis=0).ravel()
     live = mags > drop_tol * max(float(np.max(mags)), 1e-300)
     kvec = np.stack(
         [kx.ravel()[live], ky.ravel()[live], kz.ravel()[live]], axis=1)
-    cmat = u.coeffs.reshape(3, -1)[:, live]
+    # the real part of the Hermitian-weighted sum over the stored half is
+    # the sum over all modes, since the term at -k conjugates the one at k
+    cmat = (u.coeffs * grid.hermitian_weight()).reshape(3, -1)[:, live]
 
     def sample(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -427,9 +407,8 @@ def torus_sampler(u: VectorField, oversample: int = 4) -> Callable:
     an oversampled grid (accuracy O(h^2) in the fine spacing)."""
     grid = u.grid
     M = grid.N * oversample
-    fine = np.real(
-        np.fft.ifftn(_pad_coeffs(u.coeffs, grid.N, M), axes=(1, 2, 3))
-    ) * M**3
+    fine = scipy.fft.irfftn(sp._oversampled_half(u.coeffs, grid.N, M),
+                            s=(M, M, M), axes=(1, 2, 3), norm="forward")
     h = grid.L / M
 
     def sample(points):
@@ -453,15 +432,6 @@ def torus_sampler(u: VectorField, oversample: int = 4) -> Callable:
         return out
 
     return sample
-
-
-def _pad_coeffs(coeffs, N, M):
-    out = np.zeros((3, M, M, M), dtype=complex)
-    h = N // 2
-    sl = np.r_[0:h, M - h:M]
-    src = np.r_[0:h, N - h:N]
-    out[np.ix_(range(3), sl, sl, sl)] = coeffs[np.ix_(range(3), src, src, src)]
-    return out
 
 
 def to_torus_field(sph: SphericalField, grid) -> VectorField:

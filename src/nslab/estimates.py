@@ -426,7 +426,7 @@ def _advect(vel: VectorField, f: VectorField) -> np.ndarray:
     """(vel . grad) f, dealiased, on coefficients."""
     grid = vel.grid
     vs = np.real(vel.samples())
-    out = np.zeros((3,) + grid.shape, dtype=complex)
+    out = np.zeros((3,) + grid.spectral_shape, dtype=complex)
     for i in range(3):
         acc = np.zeros(grid.shape)
         for j in range(3):

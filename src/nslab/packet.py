@@ -104,12 +104,12 @@ def _check_resolution(spec: WavePacketSpec, grid: SpectralGrid):
 
 
 def _centered_offsets(grid: SpectralGrid, center):
-    """Minimum-image displacements x - center at the grid nodes."""
-    out = []
-    for i, xg in enumerate(grid.nodes()):
-        d = (xg - center[i] + grid.L / 2.0) % grid.L - grid.L / 2.0
-        out.append(d)
-    return out
+    """Minimum-image displacements x - center at the grid nodes, as one
+    broadcastable array per axis."""
+    x = np.arange(grid.N) * grid.spacing
+    shapes = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    return [((x - c + grid.L / 2.0) % grid.L - grid.L / 2.0).reshape(shape)
+            for c, shape in zip(center, shapes)]
 
 
 def _stream_samples(spec: WavePacketSpec, grid: SpectralGrid, dtype=float):
@@ -163,30 +163,12 @@ def _bump_samples(grid: SpectralGrid, center, radius):
     return raw
 
 
-def _rfft_modes(N):
-    """Integer modes for the three axes of an rfftn layout, with the odd
-    derivative multipliers zeroed on the Nyquist planes."""
-    full = np.fft.fftfreq(N, d=1.0 / N)
-    full[N // 2] = 0.0
-    half = np.arange(N // 2 + 1, dtype=float)
-    half[-1] = 0.0
-    return full, half
-
-
 def _pairing_kernel_total(grid, lap, psi_hat, component):
     """Accumulate sum_ij int (d_i d_j d_l Lap^-1 psi) lap_i lap_j dx given
     real-space Laplacian samples and the rfftn transform of psi."""
-    N, L = grid.N, grid.L
-    full, half = _rfft_modes(N)
-    mods = [full.reshape(-1, 1, 1), full.reshape(1, -1, 1),
-            half.reshape(1, 1, -1)]
-    k_full = np.fft.fftfreq(N, d=1.0 / N)
-    k_full[N // 2] = N // 2
-    k_half = np.arange(N // 2 + 1, dtype=float)
-    k2 = (k_full.reshape(-1, 1, 1) ** 2 + k_full.reshape(1, -1, 1) ** 2
-          + k_half.reshape(1, 1, -1) ** 2)
-    sym = -4.0 * np.pi**2 * k2 / L**2
-    del k2
+    L = grid.L
+    mods = sp._deriv_modes(grid.N)
+    sym = grid.laplace_symbol()
     sym[0, 0, 0] = 1.0
     base = psi_hat / sym.astype(psi_hat.real.dtype)
     del sym
@@ -218,9 +200,9 @@ def x0_pairing(u1: VectorField, psi: ScalarField, component: int = 0) -> float:
         raise ValueError(
             "support overflow: pairing box must be at least 8 units wide"
         )
-    lap = [np.real(sp.laplacian(u1.component(i)).samples())
-           for i in range(3)]
-    psi_hat = scipy.fft.rfftn(np.real(psi.samples()))
+    lap = [sp.laplacian(u1.component(i)).samples() for i in range(3)]
+    # the rfftn of psi's samples without the 1/N^3 of the stored convention
+    psi_hat = psi.coeffs * grid.N**3
     return _pairing_kernel_total(grid, lap, psi_hat, component)
 
 
@@ -237,17 +219,9 @@ def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid,
         raise ValueError(
             "support overflow: pairing box must be at least 8 units wide"
         )
-    N, L = grid.N, grid.L
-    full, half = _rfft_modes(N)
-    mods = [full.reshape(-1, 1, 1), full.reshape(1, -1, 1),
-            half.reshape(1, 1, -1)]
-    k_full = np.fft.fftfreq(N, d=1.0 / N)
-    k_full[N // 2] = N // 2
-    k_half = np.arange(N // 2 + 1, dtype=float)
-    k2 = (k_full.reshape(-1, 1, 1) ** 2 + k_full.reshape(1, -1, 1) ** 2
-          + k_half.reshape(1, 1, -1) ** 2)
-    sym = (-4.0 * np.pi**2 * k2 / L**2).astype(dtype)
-    del k2
+    L = grid.L
+    mods = sp._deriv_modes(grid.N)
+    sym = grid.laplace_symbol().astype(dtype)
     scale = 2.0j * np.pi / L
     ctype = np.result_type(dtype, np.complex64)
 

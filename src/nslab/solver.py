@@ -15,8 +15,6 @@ time-stepped solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -96,30 +94,6 @@ _SLOT = {
 }
 
 
-class _HalfOperators(NamedTuple):
-    """Real-transform layout (N, N, N/2+1) pieces of the nonlinear term."""
-
-    keep: np.ndarray  # 2/3-rule and Nyquist-free retention mask
-    mult: list  # first-derivative multipliers, Nyquist zeroed
-    leray_modes: tuple  # derivative modes for the Leray projection
-    inv_lap: np.ndarray  # inverse-Laplacian multiplier, zero on the mean
-
-
-@lru_cache(maxsize=32)
-def _half_operators(grid):
-    """The _HalfOperators of one grid, built once."""
-    m = grid.N // 2 + 1
-    keep = sp._keep_mask(grid.L, grid.N, grid.dealias_fraction)[..., :m]
-    mult = [sp._axis_multiplier(grid, ax, 1) for ax in range(3)]
-    mult[2] = mult[2][..., :m]
-    k2 = grid.k_squared()[..., :m]
-    inv_lap = np.zeros_like(k2, dtype=float)
-    nz = k2 > 0
-    inv_lap[nz] = -grid.L**2 / (4.0 * np.pi**2 * k2[nz])
-    return _HalfOperators(np.ascontiguousarray(keep), mult,
-                          sp._deriv_modes(grid.N, half=True), inv_lap)
-
-
 def _product_tensor(us, vs, keep):
     """Dealiased half spectra of the six products (u_i v_j + u_j v_i)/2,
     batched."""
@@ -134,16 +108,21 @@ def _product_tensor(us, vs, keep):
     return phat
 
 
-def _bilinear_half(u: VectorField, v: VectorField, ops: _HalfOperators):
-    """Half spectrum of B(u,v)."""
-    us = sp._real_samples(u.coeffs, u.grid.N)
-    vs = sp._real_samples(v.coeffs, u.grid.N) if v is not u else us
-    phat = _product_tensor(us, vs, ops.keep)
+def _first_derivatives(grid):
+    return [sp._axis_multiplier(grid, ax, 1) for ax in range(3)]
+
+
+def _bilinear(u: VectorField, v: VectorField):
+    """Coefficients of B(u,v)."""
+    us = u.samples()
+    vs = v.samples() if v is not u else us
+    phat = _product_tensor(us, vs, sp._keep_mask(u.grid))
+    mult = _first_derivatives(u.grid)
     out = np.empty((3,) + phat.shape[1:], dtype=complex)
     for i in range(3):
-        np.multiply(phat[_SLOT[i, 0]], ops.mult[0], out=out[i])
+        np.multiply(phat[_SLOT[i, 0]], mult[0], out=out[i])
         for j in (1, 2):
-            out[i] += phat[_SLOT[i, j]] * ops.mult[j]
+            out[i] += phat[_SLOT[i, j]] * mult[j]
     out *= -1.0
     return out
 
@@ -151,26 +130,26 @@ def _bilinear_half(u: VectorField, v: VectorField, ops: _HalfOperators):
 def bilinear_B(u: VectorField, v: VectorField) -> VectorField:
     """Symmetric bilinear form B(u,v)_i = -1/2 d_j (u_i v_j + u_j v_i).
 
-    The products are formed from the samples of u and v, i.e. from the
-    Hermitian parts of their coefficients, through real transforms.
+    The products are formed from the samples of u and v through real
+    transforms.
     """
     if u.grid != v.grid:
         raise ValueError("grid mismatch in bilinear form")
-    half = _bilinear_half(u, v, _half_operators(u.grid))
-    return VectorField(u.grid, sp._full_from_half(half, u.grid.N))
+    return VectorField(u.grid, _bilinear(u, v))
 
 
 def normalised_pressure(u: VectorField, f_sample: VectorField | None = None) -> ScalarField:
     """Mean-zero pressure -Delta^{-1} d_i d_j (u_i u_j) + Delta^{-1} div f."""
     grid = u.grid
-    ops = _half_operators(grid)
-    us = sp._real_samples(u.coeffs, grid.N)
-    phat = _product_tensor(us, us, ops.keep)
+    us = u.samples()
+    phat = _product_tensor(us, us, sp._keep_mask(grid))
+    mult = _first_derivatives(grid)
     acc = np.zeros(phat.shape[1:], dtype=complex)
     for n, (i, j) in enumerate(_SYM_PAIRS):
         weight = 1.0 if i == j else 2.0
-        acc += weight * (phat[n] * ops.mult[i] * ops.mult[j])
-    p = ScalarField(grid, sp._full_from_half(-acc * ops.inv_lap, grid.N))
+        acc += weight * (phat[n] * mult[i] * mult[j])
+    acc *= -sp._inverse_laplace_symbol(grid)
+    p = ScalarField(grid, acc)
     if f_sample is not None:
         p = ScalarField(
             grid, p.coeffs + sp.inverse_laplacian(sp.divergence(f_sample)).coeffs
@@ -180,23 +159,18 @@ def normalised_pressure(u: VectorField, f_sample: VectorField | None = None) -> 
 
 def _nonlinear(u: VectorField, f_sample: VectorField | None) -> VectorField:
     """PB(u,u) + Pf, the explicit part of the mild formulation."""
-    ops = _half_operators(u.grid)
-    half = sp._leray(_bilinear_half(u, u, ops), *ops.leray_modes)
-    n = VectorField(u.grid, sp._full_from_half(half, u.grid.N))
+    pb = sp._leray(_bilinear(u, u), *sp._deriv_modes(u.grid.N))
+    n = VectorField(u.grid, pb)
     if f_sample is not None:
         pf = sp.leray_project(sp.dealias(f_sample))
         n = VectorField(u.grid, n.coeffs + pf.coeffs)
     return n
 
 
-def _h1_physical(u: VectorField, grad_sq: float) -> float:
-    return float(np.sqrt(sp.l2_norm(u) ** 2 + grad_sq))
-
-
 def _diag_row(u: VectorField, f_sample: VectorField | None):
     grid = u.grid
     sym = grid.laplace_symbol()
-    mag2 = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    mag2 = grid.hermitian_weight() * np.sum(np.abs(u.coeffs) ** 2, axis=0)
     l2_sq = grid.L**3 * float(np.sum(mag2))
     grad_sq = grid.L**3 * float(np.sum(-sym * mag2))
     lap_sq = grid.L**3 * float(np.sum(sym**2 * mag2))

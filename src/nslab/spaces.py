@@ -85,7 +85,7 @@ class DataTriple:
 
 @dataclass
 class DiagnosticsTable:
-    """Per-step scalar diagnostics recorded at full time resolution."""
+    """Scalar diagnostics, one row per stored step of the solver."""
 
     t: np.ndarray
     energy: np.ndarray       # (1/2) ||u||_L2^2
@@ -109,7 +109,7 @@ class DiagnosticsTable:
 
 @dataclass
 class Trajectory:
-    """Stored (velocity, pressure) samples plus full-resolution diagnostics.
+    """Stored (velocity, pressure) samples plus their diagnostics.
 
     ``times`` are the stored sample times (strictly increasing, starting at
     the initial time).  ``pressure_linear``, when present, is a per-time
@@ -152,12 +152,6 @@ class NormReport:
     value: float
     time_profile: Optional[np.ndarray] = None
 
-    def csv_row(self) -> str:
-        cells = [self.name, repr(self.value)]
-        if self.time_profile is not None:
-            cells.extend(repr(v) for v in self.time_profile)
-        return ",".join(cells)
-
 
 def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
     """H^s norm with lattice weights; the homogeneous variant requires a
@@ -174,6 +168,7 @@ def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
         weight[k2 == 0] = 0.0
     else:
         weight = (1.0 + k2) ** s
+    weight *= grid.hermitian_weight()
     total = np.sum(weight[np.newaxis] * np.abs(coeffs) ** 2)
     return float(np.sqrt(grid.L**3 * total))
 

@@ -5,9 +5,12 @@ stored as DFT coefficients with the convention
 
     coeff(k) = (1/N^3) sum_x e^{-2 pi i k.x/L} f(x),
 
-i.e. ``np.fft.fftn(samples) / N**3``, so that the symbol of the Laplacian on
-integer mode k is -4 pi^2 |k|^2 / L^2 and unit-period formulas hold verbatim
-at L = 1.
+so that the symbol of the Laplacian on integer mode k is -4 pi^2 |k|^2 / L^2
+and unit-period formulas hold verbatim at L = 1.  Every field is real, so
+coeff(-k) = conj(coeff(k)) and only the half spectrum kz = 0..N/2 is stored:
+the layout of ``scipy.fft.rfftn(samples) / N**3``, of shape (N, N, N/2+1),
+with samples recovered by ``irfftn``.  Sums over all modes weight each
+stored mode by ``SpectralGrid.hermitian_weight``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ __all__ = [
     "l2_inner",
     "lp_norm",
     "sup_norm",
-    "mean_mode",
+    "hermitian_half",
     "write_field",
     "read_field",
 ]
@@ -54,9 +57,9 @@ __all__ = [
 class SpectralGrid:
     """Periodic box of period L with N modes per axis.
 
-    The wavenumber lattice is the integer cube {-N/2+1, ..., N/2}^3; the
-    Nyquist plane is labelled +N/2 and is zeroed after every nonlinear
-    product.
+    The wavenumber lattice is the integer cube {-N/2+1, ..., N/2}^3 cut to
+    its half kz >= 0; the Nyquist planes are labelled +N/2 and are zeroed
+    after every nonlinear product.
     """
 
     L: float
@@ -75,7 +78,13 @@ class SpectralGrid:
 
     @property
     def shape(self):
+        """Shape of the physical samples."""
         return (self.N, self.N, self.N)
+
+    @property
+    def spectral_shape(self):
+        """Shape of the stored half spectrum."""
+        return (self.N, self.N, self.N // 2 + 1)
 
     @property
     def spacing(self):
@@ -85,19 +94,15 @@ class SpectralGrid:
     def cell_volume(self):
         return (self.L / self.N) ** 3
 
-    def axis_modes(self):
-        """Integer modes along one axis, Nyquist labelled +N/2."""
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        k[self.N // 2] = self.N // 2
-        return k
-
     def wavenumbers(self):
-        """Three (N,N,N) arrays of integer modes (kx, ky, kz)."""
-        return _wavenumbers(self.L, self.N)
+        """Integer modes (kx, ky, kz) as three read-only arrays of
+        spectral_shape."""
+        return tuple(np.broadcast_to(k, self.spectral_shape)
+                     for k in _axis_modes(self.N))
 
     def k_squared(self):
         """|k|^2 on the integer lattice."""
-        kx, ky, kz = self.wavenumbers()
+        kx, ky, kz = _axis_modes(self.N)
         return kx * kx + ky * ky + kz * kz
 
     def laplace_symbol(self):
@@ -106,10 +111,16 @@ class SpectralGrid:
 
     def dealias_mask(self):
         """Mask keeping |k_i| <= dealias_fraction * N/2 along each axis."""
-        return _dealias_mask(self.L, self.N, self.dealias_fraction)
+        return _band_mask(self.N, self.dealias_limit())
 
     def dealias_limit(self):
         return int(np.floor(self.dealias_fraction * self.N / 2.0))
+
+    def hermitian_weight(self):
+        """Weights along kz that turn a sum over the stored half spectrum
+        into the sum over all modes: 1 on the self-conjugate planes kz = 0
+        and kz = N/2, 2 on the planes between, which also stand for -kz."""
+        return _hermitian_weight(self.N)
 
     def nodes(self):
         """Physical collocation nodes as three (N,N,N) arrays."""
@@ -117,35 +128,42 @@ class SpectralGrid:
         return np.meshgrid(x, x, x, indexing="ij")
 
 
+def _frozen(a):
+    """Mark a cached array read-only so no caller can change it in place."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=32)
-def _wavenumbers(L, N):
+def _axis_modes(N):
+    """Integer modes of the half layout as broadcastable axis arrays of
+    shapes (N,1,1), (1,N,1), (1,1,N/2+1); the Nyquist entry is +N/2."""
     k = np.fft.fftfreq(N, d=1.0 / N)
     k[N // 2] = N // 2
-    return np.meshgrid(k, k, k, indexing="ij")
+    kz = np.arange(N // 2 + 1, dtype=float)
+    return tuple(_frozen(a) for a in
+                 (k.reshape(N, 1, 1), k.reshape(1, N, 1), kz.reshape(1, 1, -1)))
 
 
 @lru_cache(maxsize=32)
-def _deriv_modes(N, half=False):
-    """Derivative modes (Nyquist zeroed) as three broadcastable axis arrays.
-
-    With half=True the last axis holds only the bins 0..N/2 of the
-    real-transform layout.
-    """
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    k[N // 2] = 0.0
-    kz = k[: N // 2 + 1] if half else k
-    return k.reshape(N, 1, 1), k.reshape(1, N, 1), kz.reshape(1, 1, -1)
+def _deriv_modes(N):
+    """_axis_modes with the Nyquist entries zeroed, as odd-order
+    derivatives need so that real fields stay real."""
+    return tuple(_frozen(np.where(k == N // 2, 0.0, k)) for k in _axis_modes(N))
 
 
 @lru_cache(maxsize=32)
-def _dealias_mask(L, N, frac):
-    k = np.abs(np.fft.fftfreq(N, d=1.0 / N))
-    k[N // 2] = N // 2
-    cut = np.floor(frac * N / 2.0)
-    keep = k <= cut
-    return np.ix_(keep, keep, keep), np.einsum(
-        "i,j,k->ijk", keep, keep, keep
-    ).astype(bool)
+def _band_mask(N, cut):
+    """Half-layout mask keeping |k_i| <= cut along each axis."""
+    kx, ky, kz = _axis_modes(N)
+    return _frozen((np.abs(kx) <= cut) & (np.abs(ky) <= cut) & (kz <= cut))
+
+
+@lru_cache(maxsize=32)
+def _hermitian_weight(N):
+    w = np.full(N // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return _frozen(w)
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,7 @@ class ScalarField:
     coeffs: np.ndarray = field(repr=False)
 
     def samples(self):
-        return np.real(scipy.fft.ifftn(self.coeffs) * self.grid.N**3)
+        return _samples(self.coeffs, self.grid)
 
     def mean(self):
         return float(np.real(self.coeffs[0, 0, 0]))
@@ -164,14 +182,14 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """3-vector field on the torus; coeffs has shape (3, N, N, N)."""
+    """3-vector field on the torus; coeffs has shape (3, N, N, N/2+1)."""
 
     grid: SpectralGrid
     coeffs: np.ndarray = field(repr=False)
     divergence_free: bool = False
 
     def samples(self):
-        return np.real(scipy.fft.ifftn(self.coeffs, axes=(1, 2, 3)) * self.grid.N**3)
+        return _samples(self.coeffs, self.grid)
 
     def mean(self):
         return np.real(self.coeffs[:, 0, 0, 0]).copy()
@@ -185,19 +203,29 @@ def make_grid(L, N, dealias_fraction=2.0 / 3.0):
     return SpectralGrid(float(L), int(N), dealias_fraction)
 
 
-def _enforce_hermitian(coeffs):
-    """Project onto Hermitian-symmetric coefficients (real-valued field)."""
-    n = coeffs.shape[-1]
-    flipped = np.conj(coeffs[..., ::-1, ::-1, ::-1])
-    flipped = np.roll(flipped, shift=(1, 1, 1), axis=(-3, -2, -1))
-    return 0.5 * (coeffs + flipped)
+def _samples(coeffs, grid):
+    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=(-3, -2, -1),
+                            norm="forward")
 
 
-# --- real-transform layout ---------------------------------------------------
-#
-# The coefficients of a real field are Hermitian, coeff(-k) = conj(coeff(k)),
-# so the last-axis bins 0..N/2 (the ``scipy.fft.rfftn`` layout, shape
-# (..., N, N, N/2+1)) determine all of them.
+def _spectrum(samples):
+    """Half spectrum of real samples whose self-conjugate planes kz = 0 and
+    kz = N/2 are exactly Hermitian, as the full complex transform gives
+    them: their entries at kx > N/2, and at ky > N/2 on the rows kx = 0
+    and N/2, are the conjugates of the mirrored ones, and their four
+    self-conjugate entries are real."""
+    N = samples.shape[-1]
+    h = N // 2
+    out = scipy.fft.rfftn(samples, axes=(-3, -2, -1))
+    out /= N**3
+    planes = out[..., ::h]
+    below, above = slice(h - 1, 0, -1), slice(h + 1, None)
+    np.conjugate(planes[..., below, :1, :], out=planes[..., above, :1, :])
+    np.conjugate(planes[..., below, :0:-1, :], out=planes[..., above, 1:, :])
+    for row in (0, h):
+        np.conjugate(planes[..., row, below, :], out=planes[..., row, above, :])
+        planes[..., row, ::h, :].imag = 0.0
+    return out
 
 
 def _conj_negated(src, out, z_blocks):
@@ -211,12 +239,12 @@ def _conj_negated(src, out, z_blocks):
                 np.conjugate(src[..., sx, sy, sz], out=out[..., dx, dy, dz])
 
 
-def _hermitian_half(coeffs):
-    """Last-axis bins 0..N/2 of the Hermitian part of fftn-layout coeffs.
+def hermitian_half(coeffs):
+    """Stored half spectrum of the real field whose coefficients, in the
+    full (..., N, N, N) ``fftn`` layout, have the given Hermitian part.
 
-    The Hermitian part is what ``samples()`` keeps of any coefficient
-    array, so ``irfftn`` of this half spectrum gives the same samples.
-    Entry for entry it equals ``_enforce_hermitian(coeffs)[..., :N/2+1]``.
+    Entry for entry this is (c(k) + conj(c(-k)))/2 on the bins kz = 0..N/2,
+    so an arbitrary complex array becomes the coefficients of a real field.
     """
     N = coeffs.shape[-1]
     m = N // 2 + 1
@@ -231,70 +259,51 @@ def _hermitian_half(coeffs):
     return out
 
 
-def _full_from_half(half, N):
-    """fftn-layout coefficients whose bins 0..N/2 are the given Hermitian
-    half spectrum; the other bins follow from coeff(-k) = conj(coeff(k))."""
-    m = N // 2 + 1
-    out = np.empty(half.shape[:-1] + (N,), dtype=complex)
-    out[..., :m] = half
-    # bins N/2+1..N-1 hold the modes -(N/2-1)..-1
-    _conj_negated(half, out[..., m:], ((slice(None), slice(m - 2, 0, -1)),))
-    return out
-
-
-def _real_samples(coeffs, N):
-    """Physical samples of fftn-layout coeffs through the real transform."""
-    return scipy.fft.irfftn(
-        _hermitian_half(coeffs), s=(N, N, N), axes=(-3, -2, -1), norm="forward"
-    )
+def _checked(coeffs, shape):
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != shape:
+        raise ValueError(f"coefficient shape {coeffs.shape} does not match "
+                         f"the half spectrum {shape} of the grid")
+    return coeffs
 
 
 def scalar_from_samples(grid, samples):
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.shape:
         raise ValueError("sample shape does not match grid")
-    return ScalarField(grid, scipy.fft.fftn(samples) / grid.N**3)
+    return ScalarField(grid, _spectrum(samples))
 
 
-def scalar_from_coeffs(grid, coeffs, hermitianize=False):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if hermitianize:
-        coeffs = _enforce_hermitian(coeffs)
-    return ScalarField(grid, coeffs)
+def scalar_from_coeffs(grid, coeffs):
+    return ScalarField(grid, _checked(coeffs, grid.spectral_shape))
 
 
 def vector_from_samples(grid, samples):
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (3,) + grid.shape:
         raise ValueError("sample shape does not match grid")
-    return VectorField(grid, scipy.fft.fftn(samples, axes=(1, 2, 3)) / grid.N**3)
+    return VectorField(grid, _spectrum(samples))
 
 
-def vector_from_coeffs(grid, coeffs, divergence_free=False, hermitianize=False):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if hermitianize:
-        coeffs = _enforce_hermitian(coeffs)
+def vector_from_coeffs(grid, coeffs, divergence_free=False):
+    coeffs = _checked(coeffs, (3,) + grid.spectral_shape)
     return VectorField(grid, coeffs, divergence_free)
 
 
 def zero_scalar(grid):
-    return ScalarField(grid, np.zeros(grid.shape, dtype=complex))
+    return ScalarField(grid, np.zeros(grid.spectral_shape, dtype=complex))
 
 
 def zero_vector(grid):
-    return VectorField(grid, np.zeros((3,) + grid.shape, dtype=complex), True)
+    return VectorField(grid, np.zeros((3,) + grid.spectral_shape, dtype=complex),
+                       True)
 
 
 def _axis_multiplier(grid, axis, order):
-    """(2 pi i k_axis / L)^order with the Nyquist plane zeroed for odd order."""
-    k = grid.axis_modes()
-    if order % 2 == 1:
-        k = k.copy()
-        k[grid.N // 2] = 0.0
-    mult = (2.0j * np.pi * k / grid.L) ** order
-    shape = [1, 1, 1]
-    shape[axis] = grid.N
-    return mult.reshape(shape)
+    """(2 pi i k_axis / L)^order with the Nyquist plane zeroed for odd order,
+    broadcastable against the half spectrum."""
+    modes = _deriv_modes(grid.N) if order % 2 == 1 else _axis_modes(grid.N)
+    return (2.0j * np.pi * modes[axis] / grid.L) ** order
 
 
 def derivative(f, axis, order=1):
@@ -337,13 +346,19 @@ def laplacian(f):
     return ScalarField(f.grid, f.coeffs * sym)
 
 
-def inverse_laplacian(f):
-    """Inverse Laplacian: multiplier -L^2/(4 pi^2 |k|^2) for k != 0, zero mean."""
-    grid = f.grid
+@lru_cache(maxsize=32)
+def _inverse_laplace_symbol(grid):
     k2 = grid.k_squared()
     mult = np.zeros_like(k2, dtype=float)
     nz = k2 > 0
     mult[nz] = -grid.L**2 / (4.0 * np.pi**2 * k2[nz])
+    return _frozen(mult)
+
+
+def inverse_laplacian(f):
+    """Inverse Laplacian: multiplier -L^2/(4 pi^2 |k|^2) for k != 0, zero mean."""
+    grid = f.grid
+    mult = _inverse_laplace_symbol(grid)
     if isinstance(f, VectorField):
         return VectorField(grid, f.coeffs * mult[np.newaxis], f.divergence_free)
     return ScalarField(grid, f.coeffs * mult)
@@ -397,20 +412,15 @@ def semigroup(f, t, eps=0.0):
     return ScalarField(grid, f.coeffs * mult)
 
 
-@lru_cache(maxsize=32)
-def _keep_mask(L, N, frac):
+def _keep_mask(grid):
     """Combined 2/3-rule and Nyquist-free retention mask."""
-    _, mask = _dealias_mask(L, N, frac)
-    k = np.abs(np.fft.fftfreq(N, d=1.0 / N))
-    k[N // 2] = N // 2
-    nyq = k < N // 2
-    return mask & np.einsum("i,j,k->ijk", nyq, nyq, nyq).astype(bool)
+    return _band_mask(grid.N, min(grid.dealias_limit(), grid.N // 2 - 1))
 
 
 def dealias(f):
     """2/3-rule truncation; also zeroes the Nyquist planes."""
     grid = f.grid
-    keep = _keep_mask(grid.L, grid.N, grid.dealias_fraction)
+    keep = _keep_mask(grid)
     if isinstance(f, VectorField):
         return VectorField(grid, f.coeffs * keep[np.newaxis], f.divergence_free)
     return ScalarField(grid, f.coeffs * keep)
@@ -426,12 +436,14 @@ def multiply(f, g):
 
 def l2_norm(f):
     """L^2 norm over the box: L^3 * sum |coeff|^2 by Plancherel."""
-    return float(np.sqrt(f.grid.L**3 * np.sum(np.abs(f.coeffs) ** 2)))
+    w = f.grid.hermitian_weight()
+    return float(np.sqrt(f.grid.L**3 * np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
 def l2_inner(f, g):
     """Real L^2 inner product over the box."""
-    return float(np.real(f.grid.L**3 * np.sum(f.coeffs * np.conj(g.coeffs))))
+    w = f.grid.hermitian_weight()
+    return float(f.grid.L**3 * np.sum(w * np.real(f.coeffs * np.conj(g.coeffs))))
 
 
 def lp_norm(f, p):
@@ -447,23 +459,32 @@ def lp_norm(f, p):
 
 
 def _oversampled_half(half, N, M):
-    """Zero-pad a Hermitian half spectrum (..., N, N, N/2+1) to the half
-    spectrum (..., M, M, M/2+1) of M >= N points per axis.
+    """Zero-pad a half spectrum (..., N, N, N/2+1) to the half spectrum
+    (..., M, M, M/2+1) of M > N points per axis.
 
     The +N/2 coefficient of each axis is shared evenly between the +-N/2
     bins of the padded spectrum so that Hermitian symmetry is preserved;
-    on the last axis only the +N/2 bin lies in the padded half.  half is
-    scaled in place.
+    on the last axis only the +N/2 bin lies in the padded half.  The
+    self-conjugate planes kz = 0 and kz = N/2 are padded as the Hermitian
+    parts that ``irfftn`` sees of them at N points; the second becomes an
+    interior plane, where any other part would show.
     """
     h = N // 2
-    half[..., h, :, :] *= 0.5
-    half[..., :, h, :] *= 0.5
-    half[..., :, :, h] *= 0.5
+    planes = half[..., ::h]
+    herm = np.empty_like(planes)
+    _conj_negated(planes, herm, ((slice(None), slice(None)),))
+    herm += planes
+    herm *= 0.5
     out = np.zeros(half.shape[:-3] + (M, M, M // 2 + 1), dtype=complex)
     blocks = ((slice(0, h + 1), slice(0, h + 1)), (slice(M - h, M), slice(h, N)))
     for dx, sx in blocks:
         for dy, sy in blocks:
-            out[..., dx, dy, : h + 1] = half[..., sx, sy, :]
+            out[..., dx, dy, 1:h] = half[..., sx, sy, 1:h]
+            out[..., dx, dy, : h + 1 : h] = herm[..., sx, sy, :]
+    for nyq in (h, M - h):
+        out[..., nyq, :, :] *= 0.5
+        out[..., :, nyq, :] *= 0.5
+    out[..., :, :, h] *= 0.5
     return out
 
 
@@ -471,19 +492,14 @@ def sup_norm(f, factor=2):
     """Sup norm evaluated on a factor-times oversampled physical grid."""
     grid = f.grid
     M = factor * grid.N
-    over = _oversampled_half(_hermitian_half(f.coeffs), grid.N, M)
-    s = scipy.fft.irfftn(over, s=(M, M, M), axes=(-3, -2, -1)) * M**3
+    over = _oversampled_half(f.coeffs, grid.N, M)
+    s = scipy.fft.irfftn(over, s=(M, M, M), axes=(-3, -2, -1))
+    s *= M**3
     if isinstance(f, VectorField):
         mag = np.sqrt(np.sum(s * s, axis=0))
     else:
         mag = np.abs(s)
     return float(np.max(mag))
-
-
-def mean_mode(f):
-    if isinstance(f, VectorField):
-        return np.real(f.coeffs[:, 0, 0, 0]).copy()
-    return float(np.real(f.coeffs[0, 0, 0]))
 
 
 # --- field dump format -------------------------------------------------------

@@ -371,7 +371,7 @@ class DecayTable:
 
 
 def _coeff_stack(samples):
-    """(n_t, 3or1, N, N, N) complex coefficient array from field samples."""
+    """(n_t, 3or1, N, N, N/2+1) coefficient array from field samples."""
     arrs = []
     for s in samples:
         c = s.coeffs
@@ -405,12 +405,13 @@ def weak_pairing_decay(f, phi, alpha, lambdas, T: float,
     kx, ky, kz = grid.wavenumbers()
     n_t = fc.shape[0]
     coarse = np.linspace(0.0, T, n_t) if n_t > 1 else np.array([0.0])
-    # g_k(t) = sum_components f_hat(t, k) * phi_hat(t, -k), kept only for
-    # modes whose product is above numerical noise
-    g_full = np.einsum("tcijl,tcijl->tijl", fc, np.flip(
-        np.roll(pc, -1, axis=(2, 3, 4)), axis=(2, 3, 4)
-    ))
-    peak = np.max(np.abs(g_full), axis=0)
+    # g_k(t) = sum_components f_hat(t, k) * phi_hat(t, -k), where
+    # phi_hat(-k) = conj(phi_hat(k)), kept only for modes whose product is
+    # above numerical noise.  The term at -k is the conjugate of the term
+    # at k, so the real part of the Hermitian-weighted sum over the stored
+    # half equals the sum over all modes.
+    g_half = np.einsum("tcijl,tcijl->tijl", fc, np.conj(pc))
+    peak = np.max(np.abs(g_half), axis=0)
     peak[0, 0, 0] = 0.0
     cut = 1e-13 * max(float(np.max(peak)), 1e-300)
     ii, jj, ll = np.nonzero(peak > cut)
@@ -418,7 +419,7 @@ def weak_pairing_decay(f, phi, alpha, lambdas, T: float,
     ka = kvec @ alpha
     theta = ka - np.round(ka)
     min_phase = float(np.min(np.abs(theta))) if len(theta) else np.inf
-    g = g_full[:, ii, jj, ll]
+    g = g_half[:, ii, jj, ll] * grid.hermitian_weight()[ll]
 
     values = np.empty(len(lambdas))
     theta_max = float(np.max(np.abs(theta))) if len(theta) else 0.0
@@ -438,7 +439,7 @@ def weak_pairing_decay(f, phi, alpha, lambdas, T: float,
                 g_fine[:, m] = np.interp(fine, coarse, g[:, m].real) \
                     + 1j * np.interp(fine, coarse, g[:, m].imag)
         phase = np.exp(-2j * np.pi * lam * np.outer(fine**2, theta))
-        values[i] = np.abs(
-            grid.L**3 * np.trapezoid(np.sum(phase * g_fine, axis=1), fine)
-        )
+        values[i] = np.abs(grid.L**3 * np.real(
+            np.trapezoid(np.sum(phase * g_fine, axis=1), fine)
+        ))
     return DecayTable(lambdas, values, min_phase)

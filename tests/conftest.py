@@ -12,11 +12,12 @@ def random_vector(grid, seed=0, kmax=None, slope=-2.0):
     """Seeded smooth random vector field (not divergence-free)."""
     rng = np.random.default_rng(seed)
     shape = (3,) + grid.shape
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = sp.hermitian_half(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     kk = np.sqrt(grid.k_squared())
     kmax = grid.N / 3.0 if kmax is None else kmax
     weight = np.where((kk > 0) & (kk <= kmax), np.maximum(kk, 1.0) ** slope, 0.0)
-    return sp.vector_from_coeffs(grid, coeffs * weight, hermitianize=True)
+    return sp.vector_from_coeffs(grid, coeffs * weight)
 
 
 def random_divfree(grid, seed=0, kmax=None, slope=-2.0, amplitude=1.0):
@@ -31,13 +32,12 @@ def random_divfree(grid, seed=0, kmax=None, slope=-2.0, amplitude=1.0):
 
 def random_scalar(grid, seed=0, kmax=None, slope=-2.0):
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    coeffs = sp.hermitian_half(
+        rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     kk = np.sqrt(grid.k_squared())
     kmax = grid.N / 3.0 if kmax is None else kmax
     weight = np.where(kk <= kmax, (1.0 + kk) ** slope, 0.0)
-    return sp.scalar_from_samples(
-        grid, np.real(np.fft.ifftn(coeffs * weight)) * grid.N**3
-    )
+    return sp.scalar_from_coeffs(grid, coeffs * weight)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import pytest
 from nslab import spectral as sp
 from nslab.cli import (
     ConfigError,
+    _random_band_field,
     generate_data,
     load_baselines,
     main,
@@ -150,6 +151,19 @@ def test_composite_packet_low_pass_caps_the_spectrum(tmp_path, grid16):
     assert np.max(high) == 0.0
 
 
+def test_random_band_data_keep_their_values(grid16):
+    # values the generator gave while fields were stored on the full
+    # fftn lattice (seed 5, band 1..4, slope -2, unit amplitude)
+    u = _random_band_field(grid16, 5, 1, 4, -2.0, 1.0, True)
+    expect = {
+        (0, 1, 2, 1): 0.009962130118838676 + 0.009468198069213112j,
+        (1, 15, 3, 2): -0.0020130378082145388 + 0.002517950012483459j,
+        (0, 0, 1, 0): -0.011314304291972225 - 0.11759148816250876j,
+    }
+    for idx, value in expect.items():
+        assert abs(u.coeffs[idx] - value) <= 1e-15 * abs(value)
+
+
 def test_empty_random_band_is_a_config_error(tmp_path):
     grid = sp.make_grid(1.0, 8)
     cfg = parse_config(write_cfg(
@@ -216,6 +230,14 @@ def test_numerical_abort_exits_three(tmp_path):
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 3
     assert manifest.error.startswith("numerical abort")
+
+
+def test_odd_resolution_exits_two(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path,
+                                 SOLVE_CFG.replace("grid.N = 16", "grid.N = 15")))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "resolution N must be even" in manifest.error
 
 
 def test_enstrophy_hypothesis_violation_is_a_tagged_fail(tmp_path):

@@ -55,6 +55,19 @@ def test_spectral_sampler_reproduces_grid_nodes(grid16):
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
+def test_spectral_sampler_matches_the_full_lattice_sum(grid8):
+    u = random_divfree(grid8, seed=6, kmax=3)
+    N = grid8.N
+    full = np.fft.fftn(u.samples(), axes=(1, 2, 3)) / N**3
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    kvec = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.random.default_rng(1).uniform(0.0, grid8.L, size=(50, 3))
+    phase = np.exp(2.0j * np.pi * (pts @ kvec.T) / grid8.L)
+    expect = np.real(phase @ full.reshape(3, -1).T)
+    got = spectral_sampler(u)(pts)
+    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
 def test_spectral_sampler_is_periodic(grid16):
     u = smooth_field(grid16, seed=2)
     sampler = spectral_sampler(u)
@@ -71,6 +84,14 @@ def test_torus_sampler_approximates_the_spectral_one(grid16):
     err = np.max(np.abs(exact(pts) - approx(pts)))
     scale = np.max(np.abs(exact(pts)))
     assert err < 5e-3 * scale
+
+
+def test_torus_sampler_reproduces_grid_nodes(grid16):
+    u = random_vector(grid16, seed=5, kmax=grid16.N)
+    nodes = np.stack(grid16.nodes(), axis=-1).reshape(-1, 3)[::7]
+    expect = u.samples().reshape(3, -1).T[::7]
+    got = torus_sampler(u, oversample=2)(nodes)
+    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 def test_flux_through_spheres_vanishes_for_divfree_fields(grid16):

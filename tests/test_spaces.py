@@ -55,7 +55,7 @@ def test_homogeneous_sobolev_single_mode(grid16):
 
 
 def test_homogeneous_sobolev_rejects_nonzero_mean(grid16):
-    c = np.zeros((3,) + grid16.shape, dtype=complex)
+    c = np.zeros((3,) + grid16.spectral_shape, dtype=complex)
     c[0, 0, 0, 0] = 1.0
     u = sp.vector_from_coeffs(grid16, c)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nslab import spectral as sp
 from nslab.divfree import spectral_sampler
+from nslab.spaces import sobolev_norm
 
 from conftest import random_divfree, random_scalar, random_vector
 
@@ -195,6 +196,28 @@ def test_l2_norm_matches_quadrature(grid16):
     assert rel(sp.l2_norm(f), quad) < 1e-12
 
 
+def test_half_spectrum_sums_match_quadrature_on_all_planes(grid16):
+    # no dealiasing: the kz = 0 and kz = N/2 planes, which count once in
+    # the Hermitian weight, carry energy too
+    N = grid16.N
+    pairs = (
+        (random_scalar(grid16, seed=30, kmax=N),
+         random_scalar(grid16, seed=31, kmax=N)),
+        (random_vector(grid16, seed=32, kmax=N),
+         random_vector(grid16, seed=33, kmax=N)),
+    )
+    dv = grid16.cell_volume
+    for a, b in pairs:
+        for plane in (0, N // 2):
+            assert np.max(np.abs(a.coeffs[..., plane])) > 1e-3 * np.max(
+                np.abs(a.coeffs))
+        sa, sb = a.samples(), b.samples()
+        quad = np.sqrt(np.sum(sa * sa) * dv)
+        assert rel(sp.l2_norm(a), quad) < 1e-13
+        assert rel(sobolev_norm(a, 0.0), quad) < 1e-13
+        assert rel(sp.l2_inner(a, b), np.sum(sa * sb) * dv) < 1e-13
+
+
 def test_sup_norm_of_single_mode_is_its_amplitude(grid16):
     x = grid16.nodes()[0]
     f = sp.scalar_from_samples(grid16, 0.75 * np.sin(2.0 * np.pi * x))
@@ -217,6 +240,18 @@ def test_sup_norm_agrees_with_dense_point_evaluation(grid8):
     s = sp.sup_norm(u, factor=8)
     assert s >= dense - 1e-12
     assert s <= 1.05 * dense + 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 48])
+def test_samples_give_exactly_hermitian_self_conjugate_planes(N):
+    grid = sp.make_grid(1.0, N)
+    s = np.random.default_rng(25).standard_normal((3,) + grid.shape)
+    c = sp.vector_from_samples(grid, s).coeffs
+    ref = np.fft.rfftn(s, axes=(1, 2, 3)) / N**3
+    assert np.max(np.abs(c - ref)) < 1e-15 * np.max(np.abs(ref))
+    for plane in (c[..., 0], c[..., N // 2]):
+        mirror = np.roll(np.conj(plane[:, ::-1, ::-1]), 1, axis=(1, 2))
+        assert np.array_equal(plane, mirror)
 
 
 def test_samples_round_trip(grid16):

@@ -244,6 +244,29 @@ def test_weak_pairing_stalls_for_rational_directions(grid8):
     assert np.isclose(table.values[-1], table.values[0], rtol=1e-6)
 
 
+def test_weak_pairing_matches_the_full_lattice_sum(grid8):
+    # |L^3 int_0^T sum_k f_hat(k) phi_hat(-k) e^{-2 pi i lam theta_k t^2}|
+    # over all modes, with the trapezoid rule on 4002 nodes
+    f = random_divfree(grid8, seed=18, kmax=3)
+    phi = random_divfree(grid8, seed=19, kmax=3)
+    alpha = np.array([np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0)])
+    N = grid8.N
+    fh, ph = (np.fft.fftn(v.samples(), axes=(1, 2, 3)) / N**3 for v in (f, phi))
+    ph_neg = np.roll(np.flip(ph, axis=(1, 2, 3)), 1, axis=(1, 2, 3))
+    g = np.sum(fh * ph_neg, axis=0).ravel()
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = N // 2
+    ka = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3) @ alpha
+    theta = ka - np.round(ka)
+    t = np.linspace(0.0, 1.0, 4002)
+    lambdas = [1.0, 3.0]
+    table = weak_pairing_decay([f], [phi], alpha, lambdas, T=1.0)
+    for lam, got in zip(lambdas, table.values):
+        integrand = np.exp(-2j * np.pi * lam * np.outer(t**2, theta)) @ g
+        expect = abs(grid8.L**3 * np.trapezoid(integrand, t))
+        assert abs(got - expect) < 1e-12 * expect
+
+
 def test_weak_pairing_rejects_nonzero_mean(grid8):
     u = random_divfree(grid8, seed=17, kmax=2)
     c = u.coeffs.copy()
