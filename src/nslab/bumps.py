@@ -12,7 +12,9 @@ def glue(t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
+    # below 1e-300 the value is exp(-1e300) = 0, as exp(-1/t) is, but 1/t
+    # would overflow for t under about 1e-308
+    out[pos] = np.exp(-1.0 / np.maximum(t[pos], 1e-300))
     return out
 
 

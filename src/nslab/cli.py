@@ -366,13 +366,19 @@ def _small_packet_field(grid, center, width, n, amplitude, kmax=0.0):
                                  divergence_free=True)
 
 
+def _checked(cfg: ExperimentConfig, make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError of a bad parameter
+    reported as a config error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: {exc}") from None
+
+
 def _grid(cfg: ExperimentConfig, L_key="grid.L", N_key="grid.N"):
     """The SpectralGrid a config names; a bad period or resolution is a
     config error, found before any data is generated."""
-    try:
-        return sp.make_grid(cfg.get(L_key), cfg.get(N_key))
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: {exc}") from None
+    return _checked(cfg, sp.make_grid, cfg.get(L_key), cfg.get(N_key))
 
 
 def generate_data(kind, cfg: ExperimentConfig, grid, seed=None) -> DataTriple:
@@ -380,6 +386,9 @@ def generate_data(kind, cfg: ExperimentConfig, grid, seed=None) -> DataTriple:
     seed = cfg.get("data.seed") if seed is None else seed
     amp = cfg.get("data.amplitude")
     T = cfg.get("solver.T")
+    if T <= 0:
+        raise ConfigError(f"{cfg.source}: horizon T must be positive, got "
+                          f"solver.T = {T}")
     if kind == "shear":
         u0 = _shear_field(grid, amp)
     elif kind == "taylor-green":
@@ -508,7 +517,8 @@ def _write_verdicts(art, verdicts):
 
 
 def _solve_trajectory(cfg: ExperimentConfig, data):
-    scfg = SolverConfig(
+    scfg = _checked(
+        cfg, SolverConfig,
         dt=cfg.get("solver.dt"),
         eps=cfg.get("solver.eps"),
         store_every=cfg.get("solver.store_every"),
@@ -544,6 +554,10 @@ def _exp_solve(cfg, art, baselines):
 
 def _exp_energy_budget(cfg, art, baselines):
     grid = _grid(cfg)
+    cut = None
+    if "harness.R" in cfg.values:
+        cut = _checked(cfg, StaticCutoff, cfg.require("harness.x0"),
+                       cfg.require("harness.R"), cfg.require("harness.r"))
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     verdicts = []
@@ -554,9 +568,7 @@ def _exp_energy_budget(cfg, art, baselines):
     defect = rep.rhs_terms["defect"]
     verdicts.append(Verdict("global-budget", rep.verdict, defect,
                             1e-4, note="ul2-en"))
-    if "harness.R" in cfg.values:
-        cut = StaticCutoff(cfg.require("harness.x0"), cfg.require("harness.R"),
-                           cfg.require("harness.r"))
+    if cut is not None:
         region = cfg.get("harness.region")
         local = energy_budget(traj, cut, data, region=region)
         thr_local = baselines["local_energy_ratio_max"]
@@ -612,10 +624,11 @@ def _exp_enstrophy(cfg, art, baselines):
 
 def _exp_localize(cfg, art, baselines):
     grid = _grid(cfg)
+    spec = _checked(cfg, AnnulusSpec, cfg.require("localize.R1"),
+                    cfg.require("localize.R2"), cfg.require("localize.R3"),
+                    cfg.require("localize.R4"),
+                    cfg.get("localize.center", (0.0, 0.0, 0.0)))
     data = generate_data(cfg.get("data.kind"), cfg, grid)
-    spec = AnnulusSpec(cfg.require("localize.R1"), cfg.require("localize.R2"),
-                       cfg.require("localize.R3"), cfg.require("localize.R4"),
-                       cfg.get("localize.center", (0.0, 0.0, 0.0)))
     sampler = spectral_sampler(data.u0)
     try:
         sph = localize_divfree(sampler, spec,

@@ -109,7 +109,10 @@ class ShrinkingCutoff(CutoffProfile):
         return self.R_prime0 - np.interp(times, sup_times, acc) / self.c
 
     def eta(self, grid, R_prime_t: float):
-        d = periodic_distance(grid, self.center)
+        return self.eta_at(periodic_distance(grid, self.center), R_prime_t)
+
+    def eta_at(self, d, R_prime_t: float):
+        """The weight at points at distance d from the center."""
         return np.clip(self.slope * (R_prime_t - d), 0.0, 1.0)
 
 
@@ -154,8 +157,12 @@ class EnstrophyReport:
 
 
 def _masked_l2(u: VectorField, mask) -> float:
-    s = u.samples()
-    return float(np.sqrt(np.sum(np.real(s) ** 2 * mask) * u.grid.cell_volume))
+    return _masked_l2_of(np.real(u.samples()) ** 2, mask, u.grid)
+
+
+def _masked_l2_of(sq, mask, grid) -> float:
+    """L^2 norm on a mask, from the squared samples."""
+    return float(np.sqrt(np.sum(sq * mask) * grid.cell_volume))
 
 
 def _grad_samples_sq(u: VectorField):
@@ -237,22 +244,21 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
     weight = cutoff.weight(grid) if region == "ball" else (
         1.0 - StaticCutoff(cutoff.center, cutoff.R + cutoff.r, cutoff.r).weight(grid)
     )
-    loc_energy = np.array([
-        0.5 * np.sum(np.sum(np.real(u.samples()) ** 2, axis=0) * weight)
-        * grid.cell_volume
-        for u in traj.velocities
-    ])
-    sup_l2 = max(_masked_l2(u, inner) for u in traj.velocities)
-    grad_prof = np.array([
-        np.sum(_grad_samples_sq(u) * inner) * grid.cell_volume
-        for u in traj.velocities
-    ])
+    # one pass over the states: each state's samples and gradient samples
+    # are made once and serve every profile
+    loc_energy, inner_l2, grad_prof, diss_prof = [], [], [], []
+    for u in traj.velocities:
+        sq = np.real(u.samples()) ** 2
+        loc_energy.append(
+            0.5 * np.sum(np.sum(sq, axis=0) * weight) * grid.cell_volume)
+        inner_l2.append(_masked_l2_of(sq, inner, grid))
+        grad_sq = _grad_samples_sq(u)
+        grad_prof.append(np.sum(grad_sq * inner) * grid.cell_volume)
+        diss_prof.append(np.sum(grad_sq * weight) * grid.cell_volume)
+    loc_energy = np.array(loc_energy)
+    sup_l2 = max(inner_l2)
     grad_l2 = float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
-    diss = float(np.trapezoid(
-        [np.sum(_grad_samples_sq(u) * weight) * grid.cell_volume
-         for u in traj.velocities],
-        traj.times,
-    ))
+    diss = float(np.trapezoid(diss_prof, traj.times))
 
     rhs_terms = {
         "data_l2": _masked_l2(data.u0, outer),
@@ -363,13 +369,19 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
         sup_prof = np.array([sp.sup_norm(u) for u in traj.velocities])
     radii = cutoff.radius_path(traj.times, sup_prof, sup_times)
 
+    # one pass over the states: each vorticity and its samples are made
+    # once and serve W and both conclusion profiles
+    inner = d_grid <= R - r
     W = np.empty(len(traj))
+    inner_l2, grad_prof = [], []
     for j, u in enumerate(traj.velocities):
         om = sp.curl(u)
-        eta = cutoff.eta(grid, radii[j])
-        W[j] = 0.5 * np.sum(
-            np.sum(np.real(om.samples()) ** 2, axis=0) * eta
-        ) * grid.cell_volume
+        sq = np.real(om.samples()) ** 2
+        eta = cutoff.eta_at(d_grid, radii[j])
+        W[j] = 0.5 * np.sum(np.sum(sq, axis=0) * eta) * grid.cell_volume
+        inner_l2.append(_masked_l2_of(sq, inner, grid))
+        grad_prof.append(
+            np.sum(_grad_samples_sq(om) * inner) * grid.cell_volume)
 
     # recession check, in per-step integrated form: the change of the
     # weight over a step must not exceed -(1/c) int ||u||_inf |grad eta|.
@@ -380,10 +392,10 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
     tax_violation = 0.0
     acc = cumulative_trapezoid(sup_prof, sup_times, initial=0.0)
     acc_traj = np.interp(traj.times, sup_times, acc)
+    eta1 = cutoff.eta_at(d_grid, radii[0])
     for j in range(len(traj) - 1):
         dt = traj.times[j + 1] - traj.times[j]
-        eta0 = cutoff.eta(grid, radii[j])
-        eta1 = cutoff.eta(grid, radii[j + 1])
+        eta0, eta1 = eta1, cutoff.eta_at(d_grid, radii[j + 1])
         deta = (eta1 - eta0) / dt
         ramp = (eta0 > 0.0) & (eta0 < 1.0) & (eta1 > 0.0) & (eta1 < 1.0)
         sup_avg = (acc_traj[j + 1] - acc_traj[j]) / dt
@@ -394,15 +406,7 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
             ))),
         )
 
-    inner = d_grid <= R - r
-    sup_l2 = max(
-        _masked_l2(sp.curl(u), inner) for u in traj.velocities
-    )
-    grad_prof = np.array([
-        np.sum(_grad_samples_sq(sp.curl(u)) * inner) * grid.cell_volume
-        for u in traj.velocities
-    ])
-    lhs = sup_l2 + float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
+    lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
     tax_tol = 1e-6 * cutoff.slope * max(np.max(sup_prof), 1e-300) / c
 
     return EnstrophyReport(

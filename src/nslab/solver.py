@@ -189,13 +189,22 @@ def _check_finite(u: VectorField, step: int):
         raise FloatingPointError(f"non-finite velocity at step {step}")
 
 
-def _march(data: DataTriple, cfg: SolverConfig, t0: float = 0.0,
-           picard_source=None) -> Trajectory:
+def _stored_steps(n_steps: int, store_every: int) -> list:
+    """Every store_every-th step index, and always the last one."""
+    steps = list(range(0, n_steps + 1, store_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
+def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
     """Integrating-factor midpoint march over [0, T].
 
-    When picard_source (a list of per-step states) is given, the midpoint
-    predictor is built from those states instead of the evolving solution,
-    which turns the march into one application of the Picard map.
+    Returns (dt, steps, states): the stored step indices and the states at
+    those steps.  When picard_source (a list of per-step states) is given,
+    the midpoint predictor is built from those states instead of the
+    evolving solution, which turns the march into one application of the
+    Picard map; every step's state is then returned.
     """
     grid = data.grid
     n_steps = _steps_for(data.T, cfg.dt)
@@ -205,16 +214,13 @@ def _march(data: DataTriple, cfg: SolverConfig, t0: float = 0.0,
     half = np.exp(0.5 * dt * _stiff_symbol(grid, cfg.eps))
     full = half * half
 
-    keep = list(range(0, n_steps + 1, cfg.store_every))
-    if keep[-1] != n_steps:
-        keep.append(n_steps)
-    keep_set = set(keep)
-    dense = picard_source is not None
+    if picard_source is not None:
+        steps = list(range(n_steps + 1))
+    else:
+        steps = _stored_steps(n_steps, cfg.store_every)
+    keep_set = set(steps)
 
-    times = [t0]
-    stored_u = [u]
-    all_states = [u] if dense else None
-    rows = [_diag_row(u, data.f_at(0.0))]
+    states = [u]
     for n in range(n_steps):
         t = n * dt
         f_now = data.f_at(t) if data.f else None
@@ -229,26 +235,27 @@ def _march(data: DataTriple, cfg: SolverConfig, t0: float = 0.0,
             full * u.coeffs + dt * half * _nonlinear(stage, f_mid).coeffs,
         )
         _check_finite(u, n + 1)
-        if dense:
-            all_states.append(u)
         if (n + 1) in keep_set:
-            times.append(t0 + (n + 1) * dt)
-            stored_u.append(u)
-            rows.append(_diag_row(u, data.f_at((n + 1) * dt) if data.f else None))
+            states.append(u)
+    return dt, steps, states
 
-    diag = DiagnosticsTable(*(np.array(c) for c in zip(*[
-        (tt, *row) for tt, row in zip(times, rows)
-    ])))
-    stored_t = np.array(times)
-    pressures = [
-        normalised_pressure(uu, data.f_at(tt - t0) if data.f else None)
-        for tt, uu in zip(times, stored_u)
-    ]
-    meta = {"dt": dt, "eps": cfg.eps}
-    if dense:
-        meta["all_states"] = all_states
-    return Trajectory(stored_t, stored_u, pressures, diagnostics=diag,
-                      meta=meta)
+
+def _trajectory(data: DataTriple, cfg: SolverConfig, dt: float, steps,
+                states) -> Trajectory:
+    """The stored trajectory of a march: times n*dt, and a diagnostic row
+    and a pressure for each stored state."""
+    def f_at(t):
+        return data.f_at(t) if data.f else None
+
+    times = [n * dt for n in steps]
+    # every row before any pressure, so that the pressures are not yet held
+    # while the sup norm's oversampled temporaries set the memory peak
+    rows = [(t, *_diag_row(u, f_at(t))) for t, u in zip(times, states)]
+    pressures = [normalised_pressure(u, f_at(t))
+                 for t, u in zip(times, states)]
+    diag = DiagnosticsTable(*(np.array(c) for c in zip(*rows)))
+    return Trajectory(np.array(times), states, pressures,
+                      diagnostics=diag, meta={"dt": dt, "eps": cfg.eps})
 
 
 def _stiff_symbol(grid, eps):
@@ -261,9 +268,7 @@ def _stiff_symbol(grid, eps):
 def evolve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     """Long-time stepping of the (hyper)dissipative system; no smallness
     assumption."""
-    traj = _march(data, cfg)
-    traj.meta.pop("all_states", None)
-    return traj
+    return _trajectory(data, cfg, *_march(data, cfg))
 
 
 def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
@@ -302,9 +307,9 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     factors = []
     prev_dist = None
     times = np.arange(n_steps + 1) * dt
+    scale = max(1.0, sobolev_norm(u0, 1.0))
     for it in range(cfg.picard_max_iters):
-        image = _march(data, cfg, picard_source=current)
-        nxt = image.meta["all_states"]
+        _, _, nxt = _march(data, cfg, picard_source=current)
         dist = xs_distance(
             Trajectory(times, current, []), Trajectory(times, nxt, [])
         )
@@ -315,13 +320,13 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
                 raise RuntimeError(
                     f"Picard iteration is not contracting (factor {factor:.3f})"
                 )
-        scale = max(1.0, sobolev_norm(u0, 1.0))
         current = nxt
         if dist < cfg.picard_tol * scale:
-            image.meta.pop("all_states", None)
-            image.meta["picard_iterations"] = it + 1
-            image.meta["contraction_factor"] = max(factors) if factors else 0.0
-            return image
+            steps = _stored_steps(n_steps, cfg.store_every)
+            traj = _trajectory(data, cfg, dt, steps, [nxt[n] for n in steps])
+            traj.meta["picard_iterations"] = it + 1
+            traj.meta["contraction_factor"] = max(factors) if factors else 0.0
+            return traj
         prev_dist = dist
     raise RuntimeError(
         f"Picard iteration did not converge in {cfg.picard_max_iters} steps "

@@ -1,6 +1,8 @@
 """Smooth cutoff building blocks: ranges, plateaus, and the telescoping
 identity behind the dyadic partition."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,14 @@ def test_glue_endpoints():
     assert glue(0.0) == 0.0
     assert glue(1.0) > 0.0
     assert np.isclose(glue(1e6), 1.0, atol=1e-10)
+
+
+def test_glue_of_tiny_t_is_zero_without_a_warning():
+    t = np.array([5e-324, 1e-310, 1e-3, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = glue(t)
+    assert np.array_equal(v, [0.0, 0.0, np.exp(-1000.0), np.exp(-2.0)])
 
 
 def test_smoothstep_is_zero_one_transition():

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from nslab import cli
 from nslab import spectral as sp
 from nslab.cli import (
     ConfigError,
@@ -238,6 +239,51 @@ def test_odd_resolution_exits_two(tmp_path):
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 2
     assert "resolution N must be even" in manifest.error
+
+
+def test_nonpositive_horizon_exits_two(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path,
+                                 SOLVE_CFG.replace("solver.T = 0.01",
+                                                   "solver.T = -1")))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "horizon T must be positive" in manifest.error
+
+
+def test_bad_solver_step_exits_two(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path,
+                                 SOLVE_CFG.replace("solver.dt = 2.5e-4",
+                                                   "solver.dt = 0")))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "dt must be positive" in manifest.error
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a bad parameter must be rejected before this call")
+
+
+def test_bad_energy_cutoff_exits_two_before_the_solve(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_solve_trajectory", _must_not_run)
+    text = ("experiment = energy-budget\ngrid.N = 8\n"
+            "data.kind = random-band\ndata.amplitude = 0.1\n"
+            "solver.dt = 1e-3\nsolver.T = 0.002\n"
+            "harness.x0 = 0.5,0.5,0.5\nharness.R = 0.35\nharness.r = 0.3\n")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "need 0 < r < R/2" in manifest.error
+
+
+def test_misordered_annulus_exits_two_before_the_data(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    text = ("experiment = localize\ngrid.N = 8\n"
+            "localize.R1 = 0.2\nlocalize.R2 = 0.12\n"
+            "localize.R3 = 0.32\nlocalize.R4 = 0.42\n")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "annulus radii" in manifest.error
 
 
 def test_enstrophy_hypothesis_violation_is_a_tagged_fail(tmp_path):

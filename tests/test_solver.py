@@ -15,8 +15,10 @@ from nslab.solver import (
     normalised_pressure,
     picard_solve,
     residual,
+    _diag_row,
     _nonlinear,
 )
+from nslab import solver
 from nslab.spaces import DataTriple, xs_distance
 
 from conftest import random_divfree
@@ -285,6 +287,9 @@ def test_store_every_subsamples_but_keeps_endpoint(grid8):
     assert traj.times[0] == 0.0
     assert np.isclose(traj.times[-1], 0.01)
     assert np.allclose(np.diff(traj.times)[:-1], 3e-3)
+    # steps 0, 3, 6, 9 and the endpoint 10: nothing between is kept
+    assert len(traj.velocities) == len(traj.pressures) == 5
+    assert len(traj.diagnostics.t) == 5
 
 
 def test_energy_decreases_without_forcing(short_run):
@@ -344,6 +349,51 @@ def test_picard_matches_evolve_for_small_data(grid16):
     assert xs_distance(a, b) < 1e-8
     assert a.meta["contraction_factor"] <= 0.5
     assert a.meta["picard_iterations"] >= 2
+
+
+def test_picard_diagnoses_only_the_returned_states(grid16, monkeypatch):
+    calls = {"sup": 0, "pressure": 0}
+    sup_norm, pressure = sp.sup_norm, solver.normalised_pressure
+
+    def counted_sup(*args, **kwargs):
+        calls["sup"] += 1
+        return sup_norm(*args, **kwargs)
+
+    def counted_pressure(*args, **kwargs):
+        calls["pressure"] += 1
+        return pressure(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "sup_norm", counted_sup)
+    monkeypatch.setattr(solver, "normalised_pressure", counted_pressure)
+    u = random_divfree(grid16, seed=11, kmax=2, amplitude=0.2)
+    traj = picard_solve(DataTriple(u, [], 0.005), SolverConfig(dt=5e-4))
+    assert traj.meta["picard_iterations"] >= 2
+    assert calls == {"sup": len(traj.times), "pressure": len(traj.times)}
+
+
+def test_picard_store_every_subsamples_the_fixed_point_bit_for_bit(grid16):
+    u = random_divfree(grid16, seed=14, kmax=2, amplitude=0.2)
+    forcing = [random_divfree(grid16, seed=15 + k, kmax=2, amplitude=0.1)
+               for k in range(3)]
+    data = DataTriple(u, forcing, 0.0045)        # 9 steps of 5e-4
+    dense = picard_solve(data, SolverConfig(dt=5e-4))
+    sparse = picard_solve(data, SolverConfig(dt=5e-4, store_every=2))
+    steps = [0, 2, 4, 6, 8, 9]
+    assert len(dense.times) == 10
+    assert np.array_equal(sparse.times, dense.times[steps])
+    assert sparse.meta["picard_iterations"] == dense.meta["picard_iterations"]
+    for j, n in enumerate(steps):
+        assert np.array_equal(sparse.velocities[j].coeffs,
+                              dense.velocities[n].coeffs)
+    d = sparse.diagnostics
+    assert np.array_equal(d.t, sparse.times)
+    for j, (t, v) in enumerate(zip(sparse.times, sparse.velocities)):
+        f = data.f_at(t)
+        row = (d.energy[j], d.grad_sq[j], d.lap_sq[j], d.enstrophy[j],
+               d.sup[j], d.f_inner[j])
+        assert row == _diag_row(v, f)
+        assert np.array_equal(sparse.pressures[j].coeffs,
+                              normalised_pressure(v, f).coeffs)
 
 
 def test_picard_rejects_large_data(grid16):
