@@ -11,7 +11,6 @@ Identical config + seed reproduces byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -25,14 +24,16 @@ from . import spectral as sp
 from .bumps import lp_profile, radial_bump
 from .divfree import AnnulusSpec, localize_divfree, spectral_sampler, to_torus_field
 from .estimates import (
+    ENERGY_REGIONS,
     StaticCutoff,
     energy_budget,
     enstrophy_localisation,
     total_speed,
 )
-from .packet import WavePacketSpec, doubling_change, growth_study, wave_packet
+from .packet import (WavePacketSpec, _centered_offsets, check_study,
+                     doubling_change, growth_study, wave_packet)
 from .solver import SolverConfig, evolve, picard_solve, residual
-from .spaces import DataTriple, energy, sobolev_norm
+from .spaces import DataTriple, sobolev_norm
 from .symmetry import (
     Forcing,
     Galilean,
@@ -317,12 +318,11 @@ def _random_band_field(grid, seed, kmin, kmax, slope, amplitude, mean_zero):
     if mean_zero:
         c = u.coeffs.copy()
         c[:, 0, 0, 0] = 0.0
-        u = sp.vector_from_coeffs(grid, c, divergence_free=True)
+        u = sp.vector_from_coeffs(grid, c)
     norm = _full_lattice_l2(u)
     if norm == 0:
         raise ConfigError("random band is empty: no modes in [kmin, kmax]")
-    return sp.vector_from_coeffs(grid, u.coeffs * (amplitude / norm),
-                                 divergence_free=True)
+    return sp.vector_from_coeffs(grid, u.coeffs * (amplitude / norm))
 
 
 def _shear_field(grid, amplitude):
@@ -347,9 +347,7 @@ def _small_packet_field(grid, center, width, n, amplitude, kmax=0.0):
     scenarios on unit boxes.  A positive kmax applies a smooth radial
     low-pass (unity below kmax, vanishing above 2 kmax) so the packet's
     spectral tail stays clear of the fastest dissipative modes."""
-    dx = []
-    for i, xg in enumerate(grid.nodes()):
-        dx.append((xg - center[i] + grid.L / 2.0) % grid.L - grid.L / 2.0)
+    dx = _centered_offsets(grid, center)
     rad = np.sqrt(sum(d * d for d in dx))
     env = radial_bump(rad / width)
     phase = np.sin(2.0 * np.pi * n * dx[0] / grid.L)
@@ -357,13 +355,10 @@ def _small_packet_field(grid, center, width, n, amplitude, kmax=0.0):
     stream[2] = env * phase
     u = sp.curl(sp.vector_from_samples(grid, stream))
     if kmax > 0:
-        mult = lp_profile(np.sqrt(grid.k_squared()) / kmax)
-        u = sp.vector_from_coeffs(grid, u.coeffs * mult[np.newaxis],
-                                  divergence_free=True)
+        u = sp.apply_multiplier(u, lp_profile(np.sqrt(grid.k_squared()) / kmax))
     nrm = _full_lattice_l2(u)
     scalefac = amplitude / nrm if nrm > 0 else 0.0
-    return sp.vector_from_coeffs(grid, scalefac * u.coeffs,
-                                 divergence_free=True)
+    return sp.vector_from_coeffs(grid, scalefac * u.coeffs)
 
 
 def _checked(cfg: ExperimentConfig, make, *args, **kwargs):
@@ -381,9 +376,9 @@ def _grid(cfg: ExperimentConfig, L_key="grid.L", N_key="grid.N"):
     return _checked(cfg, sp.make_grid, cfg.get(L_key), cfg.get(N_key))
 
 
-def generate_data(kind, cfg: ExperimentConfig, grid, seed=None) -> DataTriple:
+def generate_data(kind, cfg: ExperimentConfig, grid) -> DataTriple:
     """Named deterministic initial-data generators; all divergence-free."""
-    seed = cfg.get("data.seed") if seed is None else seed
+    seed = cfg.get("data.seed")
     amp = cfg.get("data.amplitude")
     T = cfg.get("solver.T")
     if T <= 0:
@@ -398,10 +393,10 @@ def generate_data(kind, cfg: ExperimentConfig, grid, seed=None) -> DataTriple:
             grid, seed, cfg.get("data.kmin"), cfg.get("data.kmax"),
             cfg.get("data.spectral_slope"), amp, cfg.get("data.mean_zero"))
     elif kind == "wave-packet":
-        spec = WavePacketSpec(
-            n=cfg.get("data.packet_n"),
-            x0=cfg.get("data.packet_x0", (grid.L / 2.0,) * 3))
-        u0 = wave_packet(spec, grid)
+        spec = _checked(cfg, WavePacketSpec, n=cfg.get("data.packet_n"),
+                        x0=cfg.get("data.packet_x0", (grid.L / 2.0,) * 3))
+        # wave_packet checks the resolution before it builds anything
+        u0 = _checked(cfg, wave_packet, spec, grid)
     elif kind == "composite":
         u0 = _random_band_field(
             grid, seed, cfg.get("data.kmin"), cfg.get("data.kmax"),
@@ -410,8 +405,7 @@ def generate_data(kind, cfg: ExperimentConfig, grid, seed=None) -> DataTriple:
             grid, cfg.get("data.packet_x0", (grid.L * 0.75,) * 3),
             cfg.get("data.packet_width"), cfg.get("data.packet_n"),
             amp, cfg.get("data.packet_kmax"))
-        u0 = sp.vector_from_coeffs(grid, u0.coeffs + pkt.coeffs,
-                                   divergence_free=True)
+        u0 = sp.vector_from_coeffs(grid, u0.coeffs + pkt.coeffs)
     else:
         raise ConfigError(f"unknown data kind {kind!r}")
     # band-limit to the solver's dealiased range so that the discrete
@@ -555,9 +549,13 @@ def _exp_solve(cfg, art, baselines):
 def _exp_energy_budget(cfg, art, baselines):
     grid = _grid(cfg)
     cut = None
+    region = cfg.get("harness.region")
     if "harness.R" in cfg.values:
         cut = _checked(cfg, StaticCutoff, cfg.require("harness.x0"),
                        cfg.require("harness.R"), cfg.require("harness.r"))
+        if region not in ENERGY_REGIONS:
+            raise ConfigError(f"{cfg.source}: unknown harness.region {region!r}"
+                              f"; choose from {', '.join(ENERGY_REGIONS)}")
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     traj = _solve_trajectory(cfg, data)
     verdicts = []
@@ -569,7 +567,6 @@ def _exp_energy_budget(cfg, art, baselines):
     verdicts.append(Verdict("global-budget", rep.verdict, defect,
                             1e-4, note="ul2-en"))
     if cut is not None:
-        region = cfg.get("harness.region")
         local = energy_budget(traj, cut, data, region=region)
         thr_local = baselines["local_energy_ratio_max"]
         verdicts.append(Verdict(f"local-budget-{region}",
@@ -668,12 +665,14 @@ def _exp_counterexample(cfg, art, baselines):
                       ("counterexample.x0", "x0")):
         if key in cfg.values:
             kwargs[name] = cfg.values[key]
-    template = WavePacketSpec(
-        n=8, component=cfg.get("counterexample.component"),
+    template = _checked(
+        cfg, WavePacketSpec, n=8, component=cfg.get("counterexample.component"),
         psi_radius=cfg.get("counterexample.psi_radius"), **kwargs)
     norm_grid = _grid(cfg, "counterexample.norm_L", "counterexample.norm_N")
     pairing_grid = _grid(cfg, "counterexample.pairing_L",
                          "counterexample.pairing_N")
+    _checked(cfg, check_study, template, cfg.get("counterexample.n_list"),
+             norm_grid, pairing_grid, cfg.get("counterexample.doubling_n"))
     table = growth_study(template, cfg.get("counterexample.n_list"),
                          norm_grid, pairing_grid)
     table.to_csv(art.path("growth.csv"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -192,13 +192,12 @@ class SphericalField:
         scale = max(float(np.max(np.abs(self.a))) if self.a.size else 0.0, 1e-300)
         self.flux_fraction = float(flux_coeff / scale)
 
-    def divergence_defect(self, D=None) -> float:
+    def divergence_defect(self) -> float:
         """Native divergence size: the defect of the constraint tying the
         spheroidal coefficients to the radial derivative, relative to the
         coefficient scale."""
-        if D is None:
-            _, D = _cheb_nodes_matrix(len(self.r_nodes), self.r_nodes[0],
-                                      self.r_nodes[-1])
+        _, D = _cheb_nodes_matrix(len(self.r_nodes), self.r_nodes[0],
+                                  self.r_nodes[-1])
         ll = self.basis.ls * (self.basis.ls + 1.0)
         live = ll > 0
         expected = np.zeros_like(self.B)
@@ -278,7 +277,7 @@ def _sphere_points(center, r, basis):
 
 
 def flux_check(u: Callable, r: float, center=(0.0, 0.0, 0.0),
-               l_max: int = 32, r_range: Optional[tuple] = None) -> float:
+               l_max: int = 32) -> float:
     """Surface integral of u . n over the sphere of radius r.
 
     u is a point evaluator (n, 3) -> (n, 3); quadrature is Gauss-Legendre
@@ -286,8 +285,6 @@ def flux_check(u: Callable, r: float, center=(0.0, 0.0, 0.0),
     """
     if r <= 0:
         raise ValueError("flux radius must be positive")
-    if r_range is not None and not (r_range[0] < r < r_range[1]):
-        raise ValueError(f"flux radius {r} outside ({r_range[0]}, {r_range[1]})")
     basis = _SphereBasis(l_max, l_max + 1, 2 * l_max + 2)
     pts = _sphere_points(center, r, basis)
     vals = u(pts.reshape(-1, 3)).reshape(pts.shape)
@@ -299,16 +296,16 @@ def flux_check(u: Callable, r: float, center=(0.0, 0.0, 0.0),
 
 
 def localize_divfree(u: Callable, spec: AnnulusSpec, l_max: int = 32,
-                     n_r: int = 288, div_tol: float = 1e-8,
-                     flux_tol: float = 1e-8,
-                     tail_tol: float = 1e-6) -> SphericalField:
+                     n_r: int = 288) -> SphericalField:
     """Truncate a divergence-free field to the annulus of spec.
 
     The output agrees with u on [R1, R2], vanishes on [R3, R4], and is
     divergence-free by construction: the radial component is eta(r) u_r,
     the spheroidal tangential coefficients are regenerated from the
     radial derivative identity, and the toroidal part (the per-radius
-    divergence-free remainder v(r)) is cut off directly.
+    divergence-free remainder v(r)) is cut off directly.  Rejects input
+    whose flux or divergence defect exceeds 1e-8 of its largest sample,
+    and output whose top degree carries more than 1e-6 of the energy.
     """
     basis = _SphereBasis(l_max, l_max + 1, 2 * l_max + 2)
     r_nodes, D = _cheb_nodes_matrix(n_r, spec.R1, spec.R4)
@@ -340,7 +337,7 @@ def localize_divfree(u: Callable, spec: AnnulusSpec, l_max: int = 32,
     # the spheroidal coefficients to the radial profile derivative
     flux_size = float(np.max(np.abs(a[:, 0])) * np.sqrt(4.0 * np.pi)
                       * np.max(r_nodes) ** 2)
-    if flux_size > flux_tol * max(scale, 1e-300):
+    if flux_size > 1e-8 * max(scale, 1e-300):
         raise ValueError(
             f"flux through spheres is {flux_size:.3e}, not divergence-free"
         )
@@ -350,7 +347,7 @@ def localize_divfree(u: Callable, spec: AnnulusSpec, l_max: int = 32,
     live = ll > 0
     expected_B[:, live] = dr_r2a[:, live] / (ll[live] * r_nodes[:, np.newaxis])
     div_size = float(np.max(np.abs(expected_B - B)))
-    if div_size > div_tol * max(scale, 1e-300):
+    if div_size > 1e-8 * max(scale, 1e-300):
         raise ValueError(
             f"input field is not divergence-free on the annulus "
             f"(constraint defect {div_size:.3e})"
@@ -365,26 +362,25 @@ def localize_divfree(u: Callable, spec: AnnulusSpec, l_max: int = 32,
     out = SphericalField(np.asarray(spec.center, dtype=float), r_nodes,
                          l_max, a_new, B_new, C_new, basis)
     tail = out.tail_fraction()
-    if tail > tail_tol:
+    if tail > 1e-6:
         raise ValueError(
             f"spherical-harmonic tail fraction {tail:.3e} exceeds "
-            f"{tail_tol:.1e}; raise l_max"
+            "1.0e-06; raise l_max"
         )
     return out
 
 
-def spectral_sampler(u: VectorField, drop_tol: float = 1e-14,
-                     chunk: int = 256) -> Callable:
+def spectral_sampler(u: VectorField) -> Callable:
     """Exact point evaluator that sums the Fourier series of u directly.
 
-    Modes below drop_tol (relative to the largest coefficient) are skipped,
-    so the cost scales with the number of live modes; use torus_sampler
-    when O(h^2) interpolation accuracy is enough.
+    Modes below 1e-14 of the largest coefficient are skipped, so the cost
+    scales with the number of live modes; use torus_sampler when O(h^2)
+    interpolation accuracy is enough.
     """
     grid = u.grid
     kx, ky, kz = grid.wavenumbers()
     mags = np.max(np.abs(u.coeffs), axis=0).ravel()
-    live = mags > drop_tol * max(float(np.max(mags)), 1e-300)
+    live = mags > 1e-14 * max(float(np.max(mags)), 1e-300)
     kvec = np.stack(
         [kx.ravel()[live], ky.ravel()[live], kz.ravel()[live]], axis=1)
     # the real part of the Hermitian-weighted sum over the stored half is
@@ -394,9 +390,9 @@ def spectral_sampler(u: VectorField, drop_tol: float = 1e-14,
     def sample(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(pts), 3))
-        for s in range(0, len(pts), chunk):
-            ph = np.exp((2.0j * np.pi / grid.L) * (pts[s:s + chunk] @ kvec.T))
-            out[s:s + chunk] = np.real(ph @ cmat.T)
+        for s in range(0, len(pts), 256):
+            ph = np.exp((2.0j * np.pi / grid.L) * (pts[s:s + 256] @ kvec.T))
+            out[s:s + 256] = np.real(ph @ cmat.T)
         return out
 
     return sample

@@ -25,11 +25,15 @@ __all__ = [
     "ShrinkingCutoff",
     "EnergyReport",
     "EnstrophyReport",
+    "ENERGY_REGIONS",
     "energy_budget",
     "total_speed",
     "enstrophy_localisation",
     "vorticity_residual",
 ]
+
+# where energy_budget measures: in B(x0, R-r), or outside B(x0, R+r)
+ENERGY_REGIONS = ("ball", "exterior")
 
 
 def periodic_distance(grid, x0):
@@ -71,9 +75,9 @@ class StaticCutoff(CutoffProfile):
     def weight(self, grid):
         return self.eta(grid) ** 4
 
-    def derivative_constant(self, n_samples: int = 20001) -> float:
+    def derivative_constant(self) -> float:
         """Measured K with |d^j eta| <= K / r^j for j = 1, 2."""
-        s = np.linspace(-1.5, 0.5, n_samples)
+        s = np.linspace(-1.5, 0.5, 20001)
         h = s[1] - s[0]
         chi = chi_step(s)
         d1 = np.gradient(chi, h)
@@ -143,7 +147,7 @@ class EnstrophyReport:
     delta: float
     hypothesis_value: float      # vorticity size of the data in the ball
     smallness_value: float       # delta^4 T + delta^5 E^{1/2} T
-    r_condition_value: float     # C (E + E^{1/2} T^{1/4} + delta^{-2})
+    r_condition_value: float     # E + E^{1/2} T^{1/4} + delta^{-2} (C = 1)
     conclusion_lhs: float
     conclusion_ratio: float      # conclusion_lhs / delta
     w0_ratio: float              # W(0) / delta^2
@@ -216,6 +220,10 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
         drop = cumulative_simpson(d.grad_sq, x=d.t, initial=0.0)
         pump = cumulative_simpson(d.f_inner, x=d.t, initial=0.0)
         lhs = d.energy + drop - pump
+        eps = traj.meta.get("eps", 0.0)
+        if eps:
+            # the hyperdissipation drains eps ||Delta u||^2 as well
+            lhs += eps * cumulative_simpson(d.lap_sq, x=d.t, initial=0.0)
         ratio = float(np.max(lhs) / E) if E > 0 else 0.0
         defect = float(np.max(np.abs(lhs - lhs[0])) / E) if E > 0 else 0.0
         return EnergyReport(
@@ -231,15 +239,15 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
 
     if not isinstance(cutoff, StaticCutoff):
         raise ValueError("energy_budget expects a StaticCutoff or None")
+    if region not in ENERGY_REGIONS:
+        raise ValueError(f"unknown region {region!r}")
     d_grid = periodic_distance(grid, cutoff.center)
     if region == "ball":
         inner = d_grid <= cutoff.R - cutoff.r
         outer = d_grid <= cutoff.R
-    elif region == "exterior":
+    else:
         inner = d_grid >= cutoff.R + cutoff.r
         outer = d_grid >= cutoff.R
-    else:
-        raise ValueError(f"unknown region {region!r}")
 
     weight = cutoff.weight(grid) if region == "ball" else (
         1.0 - StaticCutoff(cutoff.center, cutoff.R + cutoff.r, cutoff.r).weight(grid)
@@ -310,8 +318,8 @@ def total_speed(traj: Trajectory, data: Optional[DataTriple] = None):
 
 
 def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
-                           r: float, data: Optional[DataTriple] = None,
-                           C_big: float = 1.0) -> EnstrophyReport:
+                           r: float, data: Optional[DataTriple] = None
+                           ) -> EnstrophyReport:
     """Shrinking-cutoff enstrophy tracking inside a ball.
 
     Verifies the hypotheses (small vorticity of the data in the ball;
@@ -354,7 +362,7 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
         raise ValueError(
             f"(delta-4): delta^4 T + delta^5 E^(1/2) T = {small:.6g} > c = {c}"
         )
-    r_cond = C_big * (E + np.sqrt(E) * T**0.25 + delta**-2)
+    r_cond = E + np.sqrt(E) * T**0.25 + delta**-2
     if r <= r_cond:
         raise ValueError(
             f"(r-large): r = {r} must exceed {r_cond:.6g}"

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spectral as sp
 from .bumps import lp_profile
-from .spectral import ScalarField, SpectralGrid, VectorField
+from .spectral import SpectralGrid, VectorField
 
 __all__ = [
     "LPBumpProfile",
@@ -72,9 +72,7 @@ def lp_project(f, N, kind: str = "at"):
         mult = 1.0 - profile.phi(xi / band.N)
     else:
         raise ValueError(f"unknown projection kind {kind!r}")
-    if isinstance(f, VectorField):
-        return VectorField(grid, f.coeffs * mult[np.newaxis], f.divergence_free)
-    return ScalarField(grid, f.coeffs * mult)
+    return sp.apply_multiplier(f, mult)
 
 
 def dyadic_bands(grid: SpectralGrid):
@@ -96,12 +94,6 @@ def covering_bands(grid: SpectralGrid):
     return [DyadicBand(2.0**j) for j in range(j_lo, j_hi + 1)]
 
 
-def _lp_lp_norm(f, p):
-    if p == np.inf:
-        return sp.sup_norm(f)
-    return sp.lp_norm(f, p)
-
-
 def bernstein_check(f, N, p, q):
     """Measured Bernstein ratios for a field band-limited to the N-annulus.
 
@@ -111,7 +103,7 @@ def bernstein_check(f, N, p, q):
     """
     band = _as_band(N)
     pf = lp_project(f, band, "at")
-    base = _lp_lp_norm(pf, p)
+    base = sp.lp_norm(pf, p)
     if base == 0.0 or not np.any(np.abs(pf.coeffs) > 0):
         return {"empty": True}
     if isinstance(pf, VectorField):
@@ -125,9 +117,9 @@ def bernstein_check(f, N, p, q):
         else:
             grad_norm = float((np.sum(mags**p) * pf.grid.cell_volume) ** (1.0 / p))
     else:
-        grad_norm = _lp_lp_norm(sp.gradient(pf), p)
+        grad_norm = sp.lp_norm(sp.gradient(pf), p)
     ratio_grad = grad_norm / (band.N * base)
-    qnorm = _lp_lp_norm(pf, q)
+    qnorm = sp.lp_norm(pf, q)
     ratio_embed = qnorm / (band.N ** (3.0 / p - 3.0 / q) * base)
     return {
         "empty": False,

@@ -36,6 +36,7 @@ __all__ = [
     "mass_one_bump",
     "x0_pairing",
     "pairing_from_spec",
+    "check_study",
     "growth_study",
     "doubling_change",
     "GrowthTable",
@@ -103,6 +104,21 @@ def _check_resolution(spec: WavePacketSpec, grid: SpectralGrid):
         raise ValueError("box too small for the unit-ball support with margin")
 
 
+def _check_pairing_box(grid: SpectralGrid):
+    if grid.L < 8.0:
+        raise ValueError(
+            "support overflow: pairing box must be at least 8 units wide"
+        )
+
+
+def _check_leading_term(template: WavePacketSpec):
+    if np.linalg.norm(template.cross) < 1e-12:
+        raise ValueError(
+            "degenerate packet: the frequency and direction are parallel, "
+            "so the leading term vanishes"
+        )
+
+
 def _centered_offsets(grid: SpectralGrid, center):
     """Minimum-image displacements x - center at the grid nodes, as one
     broadcastable array per axis."""
@@ -132,8 +148,7 @@ def wave_packet(spec: WavePacketSpec, grid: SpectralGrid) -> VectorField:
     stream = np.stack([scal * e for e in spec.eta_dir])
     del scal
     packet = sp.curl(sp.vector_from_samples(grid, stream))
-    return VectorField(grid, float(spec.n) ** -2.5 * packet.coeffs,
-                       divergence_free=True)
+    return VectorField(grid, float(spec.n) ** -2.5 * packet.coeffs)
 
 
 def leading_order(spec: WavePacketSpec, grid: SpectralGrid) -> VectorField:
@@ -196,18 +211,14 @@ def x0_pairing(u1: VectorField, psi: ScalarField, component: int = 0) -> float:
     if u1.grid != psi.grid:
         raise ValueError("packet and test bump must share a grid")
     grid = u1.grid
-    if grid.L < 8.0:
-        raise ValueError(
-            "support overflow: pairing box must be at least 8 units wide"
-        )
+    _check_pairing_box(grid)
     lap = [sp.laplacian(u1.component(i)).samples() for i in range(3)]
     # the rfftn of psi's samples without the 1/N^3 of the stored convention
     psi_hat = psi.coeffs * grid.N**3
     return _pairing_kernel_total(grid, lap, psi_hat, component)
 
 
-def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid,
-                      dtype=np.float32) -> float:
+def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid) -> float:
     """Build the packet and evaluate the pairing in one lean pass.
 
     Works in single precision through real-input FFTs so a 256^3 box fits
@@ -215,10 +226,8 @@ def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid,
     above float32 roundoff.
     """
     _check_resolution(spec, grid)
-    if grid.L < 8.0:
-        raise ValueError(
-            "support overflow: pairing box must be at least 8 units wide"
-        )
+    _check_pairing_box(grid)
+    dtype = np.float32
     L = grid.L
     mods = sp._deriv_modes(grid.N)
     sym = grid.laplace_symbol().astype(dtype)
@@ -267,9 +276,8 @@ class GrowthTable:
                 fh.write("  ".join(f"{v:.10e}" for v in row) + "\n")
 
 
-def growth_study(template: WavePacketSpec, n_list,
-                 norm_grid: SpectralGrid | None = None,
-                 pairing_grid: SpectralGrid | None = None) -> GrowthTable:
+def growth_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
+                 pairing_grid: SpectralGrid) -> GrowthTable:
     """Packet norms and pairing across a frequency sweep, with the fitted
     log-log slope of |X0| against n.
 
@@ -277,15 +285,7 @@ def growth_study(template: WavePacketSpec, n_list,
     Sobolev weights see the carrier/envelope separation best there); the
     pairing runs on a wide box keeping periodic kernel images small.
     """
-    if np.linalg.norm(template.cross) < 1e-12:
-        raise ValueError(
-            "degenerate packet: the frequency and direction are parallel, "
-            "so the leading term vanishes"
-        )
-    if norm_grid is None:
-        norm_grid = sp.make_grid(4.5, 128)
-    if pairing_grid is None:
-        pairing_grid = sp.make_grid(9.0, 256)
+    _check_leading_term(template)
     ns, X0s, h1s, h2s = [], [], [], []
     for n in n_list:
         spec = template.with_n(n)
@@ -302,17 +302,28 @@ def growth_study(template: WavePacketSpec, n_list,
 
 
 def doubling_change(template: WavePacketSpec, n: int,
-                    pairing_grid: SpectralGrid | None = None) -> float:
+                    pairing_grid: SpectralGrid) -> float:
     """Relative change of X0 when the pairing box is doubled at the same
     mode count; n must stay resolvable on the doubled (coarser) grid."""
-    if pairing_grid is None:
-        pairing_grid = sp.make_grid(9.0, 256)
     spec = template.with_n(n)
     base = pairing_from_spec(spec, pairing_grid)
-    doubled = sp.make_grid(2.0 * pairing_grid.L, pairing_grid.N,
-                           pairing_grid.dealias_fraction)
-    other = pairing_from_spec(spec, doubled)
+    other = pairing_from_spec(spec, sp.make_grid(2.0 * pairing_grid.L,
+                                                 pairing_grid.N))
     return abs(other - base) / abs(base)
+
+
+def check_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
+                pairing_grid: SpectralGrid, doubling_n: int):
+    """Raise, before any packet is built, the ValueError that growth_study
+    or doubling_change would raise part-way through on these inputs."""
+    _check_leading_term(template)
+    for n in n_list:
+        _check_resolution(template.with_n(n), norm_grid)
+        _check_resolution(template.with_n(n), pairing_grid)
+    for grid in (pairing_grid, sp.make_grid(2.0 * pairing_grid.L,
+                                            pairing_grid.N)):
+        _check_resolution(template.with_n(doubling_n), grid)
+        _check_pairing_box(grid)
 
 
 def kernel_scan(psi: ScalarField, cross, component: int = 0,

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import spectral as sp
-from .spectral import ScalarField, SpectralGrid, VectorField
+from .spectral import SpectralGrid, VectorField
 
 __all__ = [
     "DataTriple",

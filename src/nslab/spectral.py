@@ -15,7 +15,6 @@ stored mode by ``SpectralGrid.hermitian_weight``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,8 +30,8 @@ __all__ = [
     "scalar_from_coeffs",
     "vector_from_samples",
     "vector_from_coeffs",
-    "zero_scalar",
     "zero_vector",
+    "apply_multiplier",
     "derivative",
     "gradient",
     "divergence",
@@ -58,13 +57,12 @@ class SpectralGrid:
     """Periodic box of period L with N modes per axis.
 
     The wavenumber lattice is the integer cube {-N/2+1, ..., N/2}^3 cut to
-    its half kz >= 0; the Nyquist planes are labelled +N/2 and are zeroed
-    after every nonlinear product.
+    its half kz >= 0; the Nyquist planes are labelled +N/2 and are zeroed,
+    with every mode beyond the 2/3 rule, after every nonlinear product.
     """
 
     L: float
     N: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.L <= 0:
@@ -73,8 +71,6 @@ class SpectralGrid:
             raise ValueError(f"resolution N must be >= 4, got {self.N}")
         if self.N % 2 != 0:
             raise ValueError(f"resolution N must be even, got {self.N}")
-        if not (0.0 < self.dealias_fraction <= 1.0):
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @property
     def shape(self):
@@ -108,13 +104,6 @@ class SpectralGrid:
     def laplace_symbol(self):
         """Fourier symbol of the Laplacian, -4 pi^2 |k|^2 / L^2."""
         return -4.0 * np.pi**2 * self.k_squared() / self.L**2
-
-    def dealias_mask(self):
-        """Mask keeping |k_i| <= dealias_fraction * N/2 along each axis."""
-        return _band_mask(self.N, self.dealias_limit())
-
-    def dealias_limit(self):
-        return int(np.floor(self.dealias_fraction * self.N / 2.0))
 
     def hermitian_weight(self):
         """Weights along kz that turn a sum over the stored half spectrum
@@ -186,7 +175,6 @@ class VectorField:
 
     grid: SpectralGrid
     coeffs: np.ndarray = field(repr=False)
-    divergence_free: bool = False
 
     def samples(self):
         return _samples(self.coeffs, self.grid)
@@ -198,9 +186,9 @@ class VectorField:
         return ScalarField(self.grid, self.coeffs[i])
 
 
-def make_grid(L, N, dealias_fraction=2.0 / 3.0):
+def make_grid(L, N):
     """Build a SpectralGrid; rejects odd or tiny N and nonpositive L."""
-    return SpectralGrid(float(L), int(N), dealias_fraction)
+    return SpectralGrid(float(L), int(N))
 
 
 def _samples(coeffs, grid):
@@ -285,18 +273,17 @@ def vector_from_samples(grid, samples):
     return VectorField(grid, _spectrum(samples))
 
 
-def vector_from_coeffs(grid, coeffs, divergence_free=False):
-    coeffs = _checked(coeffs, (3,) + grid.spectral_shape)
-    return VectorField(grid, coeffs, divergence_free)
-
-
-def zero_scalar(grid):
-    return ScalarField(grid, np.zeros(grid.spectral_shape, dtype=complex))
+def vector_from_coeffs(grid, coeffs):
+    return VectorField(grid, _checked(coeffs, (3,) + grid.spectral_shape))
 
 
 def zero_vector(grid):
-    return VectorField(grid, np.zeros((3,) + grid.spectral_shape, dtype=complex),
-                       True)
+    return VectorField(grid, np.zeros((3,) + grid.spectral_shape, dtype=complex))
+
+
+def apply_multiplier(f, mult):
+    """f, or each component of f, times the half-spectrum multiplier mult."""
+    return type(f)(f.grid, f.coeffs * mult)
 
 
 def _axis_multiplier(grid, axis, order):
@@ -312,10 +299,7 @@ def derivative(f, axis, order=1):
         raise ValueError("order must be >= 1")
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
-    mult = _axis_multiplier(f.grid, axis, order)
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, f.coeffs * mult[np.newaxis], f.divergence_free)
-    return ScalarField(f.grid, f.coeffs * mult)
+    return apply_multiplier(f, _axis_multiplier(f.grid, axis, order))
 
 
 def gradient(f):
@@ -336,14 +320,11 @@ def curl(u):
     cx = d(2, 1) - d(1, 2)
     cy = d(0, 2) - d(2, 0)
     cz = d(1, 0) - d(0, 1)
-    return VectorField(u.grid, np.stack([cx, cy, cz]), divergence_free=True)
+    return VectorField(u.grid, np.stack([cx, cy, cz]))
 
 
 def laplacian(f):
-    sym = f.grid.laplace_symbol()
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, f.coeffs * sym[np.newaxis], f.divergence_free)
-    return ScalarField(f.grid, f.coeffs * sym)
+    return apply_multiplier(f, f.grid.laplace_symbol())
 
 
 @lru_cache(maxsize=32)
@@ -357,11 +338,7 @@ def _inverse_laplace_symbol(grid):
 
 def inverse_laplacian(f):
     """Inverse Laplacian: multiplier -L^2/(4 pi^2 |k|^2) for k != 0, zero mean."""
-    grid = f.grid
-    mult = _inverse_laplace_symbol(grid)
-    if isinstance(f, VectorField):
-        return VectorField(grid, f.coeffs * mult[np.newaxis], f.divergence_free)
-    return ScalarField(grid, f.coeffs * mult)
+    return apply_multiplier(f, _inverse_laplace_symbol(f.grid))
 
 
 def _leray(coeffs, kx, ky, kz):
@@ -376,54 +353,39 @@ def _leray(coeffs, kx, ky, kz):
 
 def leray_project(u):
     """Leray projection I - k k^T/|k|^2 on k != 0; mean mode passes through."""
-    out = _leray(np.array(u.coeffs), *_deriv_modes(u.grid.N))
-    mean_zero = np.max(np.abs(u.coeffs[:, 0, 0, 0])) == 0.0
-    return VectorField(u.grid, out, divergence_free=mean_zero)
+    return VectorField(u.grid, _leray(np.array(u.coeffs), *_deriv_modes(u.grid.N)))
 
 
-def biot_savart(omega, tol=1e-8):
+def biot_savart(omega):
     """Velocity from vorticity via the curl of the inverse Laplacian.
 
     For omega = curl(u) with u mean-zero and divergence-free this recovers u:
     curl(omega) = -Delta(u), so u = -inverse_laplacian(curl(omega)).  Rejects
-    input with a nonzero mean mode.
+    input whose mean mode exceeds 1e-8 of its largest coefficient.
     """
     scale = np.max(np.abs(omega.coeffs)) or 1.0
-    if np.max(np.abs(omega.coeffs[:, 0, 0, 0])) > tol * scale:
+    if np.max(np.abs(omega.coeffs[:, 0, 0, 0])) > 1e-8 * scale:
         raise ValueError("biot_savart requires a mean-zero vorticity field")
     out = inverse_laplacian(curl(omega))
-    return VectorField(out.grid, -out.coeffs, divergence_free=True)
+    return VectorField(out.grid, -out.coeffs)
 
 
-def semigroup(f, t, eps=0.0):
-    """Heat semigroup e^{t(Delta - eps Delta^2)} as a Fourier multiplier."""
+def semigroup(f, t):
+    """Heat semigroup e^{t Delta} as a Fourier multiplier."""
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
-    if eps < 0:
-        raise ValueError("hyperdissipation must be nonnegative")
-    grid = f.grid
-    k2 = grid.k_squared()
-    sym = -4.0 * np.pi**2 * k2 / grid.L**2
-    if eps:
-        sym = sym - eps * 16.0 * np.pi**4 * k2**2 / grid.L**4
-    mult = np.exp(t * sym)
-    if isinstance(f, VectorField):
-        return VectorField(grid, f.coeffs * mult[np.newaxis], f.divergence_free)
-    return ScalarField(grid, f.coeffs * mult)
+    return apply_multiplier(f, np.exp(t * f.grid.laplace_symbol()))
 
 
 def _keep_mask(grid):
     """Combined 2/3-rule and Nyquist-free retention mask."""
-    return _band_mask(grid.N, min(grid.dealias_limit(), grid.N // 2 - 1))
+    cut = int(np.floor(2.0 / 3.0 * grid.N / 2.0))
+    return _band_mask(grid.N, min(cut, grid.N // 2 - 1))
 
 
 def dealias(f):
     """2/3-rule truncation; also zeroes the Nyquist planes."""
-    grid = f.grid
-    keep = _keep_mask(grid)
-    if isinstance(f, VectorField):
-        return VectorField(grid, f.coeffs * keep[np.newaxis], f.divergence_free)
-    return ScalarField(grid, f.coeffs * keep)
+    return apply_multiplier(f, _keep_mask(f.grid))
 
 
 def multiply(f, g):
@@ -450,12 +412,15 @@ def lp_norm(f, p):
     """Grid-quadrature L^p norm (p = inf uses the oversampled sup)."""
     if p == np.inf:
         return sup_norm(f)
-    s = f.samples()
-    if isinstance(f, VectorField):
-        mag = np.sqrt(np.sum(s * s, axis=0))
-    else:
-        mag = np.abs(s)
+    mag = _magnitude(f, f.samples())
     return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
+
+
+def _magnitude(f, s):
+    """Pointwise length of the samples s of the field f."""
+    if isinstance(f, VectorField):
+        return np.sqrt(np.sum(s * s, axis=0))
+    return np.abs(s)
 
 
 def _oversampled_half(half, N, M):
@@ -495,11 +460,7 @@ def sup_norm(f, factor=2):
     over = _oversampled_half(f.coeffs, grid.N, M)
     s = scipy.fft.irfftn(over, s=(M, M, M), axes=(-3, -2, -1))
     s *= M**3
-    if isinstance(f, VectorField):
-        mag = np.sqrt(np.sum(s * s, axis=0))
-    else:
-        mag = np.abs(s)
-    return float(np.max(mag))
+    return float(np.max(_magnitude(f, s)))
 
 
 # --- field dump format -------------------------------------------------------

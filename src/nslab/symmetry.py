@@ -151,16 +151,13 @@ def _phase_shift(field, x0):
     phase = np.exp(
         -2j * np.pi * (kx * x0[0] + ky * x0[1] + kz * x0[2]) / grid.L
     )
-    if isinstance(field, VectorField):
-        return VectorField(grid, field.coeffs * phase[np.newaxis],
-                           field.divergence_free)
-    return ScalarField(grid, field.coeffs * phase)
+    return sp.apply_multiplier(field, phase)
 
 
 def _add_mean(u: VectorField, vec) -> VectorField:
     coeffs = u.coeffs.copy()
     coeffs[:, 0, 0, 0] += np.asarray(vec, dtype=complex)
-    return VectorField(u.grid, coeffs, u.divergence_free)
+    return VectorField(u.grid, coeffs)
 
 
 def _scale_diagnostics(d: DiagnosticsTable, lam: float) -> DiagnosticsTable:
@@ -197,10 +194,9 @@ def _apply_data(tr, data: DataTriple) -> DataTriple:
         )
     if isinstance(tr, Scale):
         lam = tr.lam
-        g2 = sp.make_grid(lam * data.L, data.grid.N, data.grid.dealias_fraction)
-        u0 = VectorField(g2, data.u0.coeffs / lam, data.u0.divergence_free)
-        f = [VectorField(g2, fk.coeffs / lam**3, fk.divergence_free)
-             for fk in data.f]
+        g2 = sp.make_grid(lam * data.L, data.grid.N)
+        u0 = VectorField(g2, data.u0.coeffs / lam)
+        f = [VectorField(g2, fk.coeffs / lam**3) for fk in data.f]
         return DataTriple(u0, f, lam**2 * data.T)
     if isinstance(tr, PressureShift):
         return data
@@ -223,8 +219,7 @@ def _apply_data(tr, data: DataTriple) -> DataTriple:
         if data.f:
             if len(tr.q) != len(data.f):
                 raise ValueError("forcing shift samples must match f grid")
-            f = [VectorField(fk.grid, fk.coeffs + sp.gradient(qk).coeffs,
-                             fk.divergence_free)
+            f = [VectorField(fk.grid, fk.coeffs + sp.gradient(qk).coeffs)
                  for fk, qk in zip(data.f, tr.q)]
         else:
             f = [sp.gradient(qk) for qk in tr.q]
@@ -270,11 +265,10 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
     if isinstance(tr, Scale):
         lam = tr.lam
         g = traj.grid
-        g2 = sp.make_grid(lam * g.L, g.N, g.dealias_fraction)
+        g2 = sp.make_grid(lam * g.L, g.N)
         return Trajectory(
             traj.times * lam**2,
-            [VectorField(g2, u.coeffs / lam, u.divergence_free)
-             for u in traj.velocities],
+            [VectorField(g2, u.coeffs / lam) for u in traj.velocities],
             [ScalarField(g2, p.coeffs / lam**2) for p in traj.pressures],
             diagnostics=(
                 _scale_diagnostics(traj.diagnostics, lam)
@@ -372,15 +366,11 @@ class DecayTable:
 
 def _coeff_stack(samples):
     """(n_t, 3or1, N, N, N/2+1) coefficient array from field samples."""
-    arrs = []
-    for s in samples:
-        c = s.coeffs
-        arrs.append(c[np.newaxis] if c.ndim == 3 else c)
-    return np.array(arrs)
+    return np.array([s.coeffs.reshape((-1,) + s.grid.spectral_shape)
+                     for s in samples])
 
 
-def weak_pairing_decay(f, phi, alpha, lambdas, T: float,
-                       n_fine: int = 4001, phase_floor: float = 1e-3):
+def weak_pairing_decay(f, phi, alpha, lambdas, T: float):
     """Space-time pairing of the quadratically shifted forcing with a test
     field, for each modulation strength lambda.
 
@@ -426,7 +416,7 @@ def weak_pairing_decay(f, phi, alpha, lambdas, T: float,
     for i, lam in enumerate(lambdas):
         # resolve the chirp e^{-2 pi i lam theta t^2}: ~40 nodes per cycle
         cycles = abs(lam) * theta_max * T**2
-        n = int(min(max(n_fine, 40 * cycles), 2_000_000)) + 1
+        n = int(min(max(4001, 40 * cycles), 2_000_000)) + 1
         fine = np.linspace(0.0, T, n)
         if len(theta) == 0:
             values[i] = 0.0

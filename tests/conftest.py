@@ -25,9 +25,8 @@ def random_divfree(grid, seed=0, kmax=None, slope=-2.0, amplitude=1.0):
     u = sp.leray_project(random_vector(grid, seed, kmax, slope))
     c = u.coeffs.copy()
     c[:, 0, 0, 0] = 0.0
-    nrm = sp.l2_norm(sp.vector_from_coeffs(grid, c, divergence_free=True))
-    return sp.vector_from_coeffs(grid, c * (amplitude / nrm),
-                                 divergence_free=True)
+    nrm = sp.l2_norm(sp.vector_from_coeffs(grid, c))
+    return sp.vector_from_coeffs(grid, c * (amplitude / nrm))
 
 
 def random_scalar(grid, seed=0, kmax=None, slope=-2.0):

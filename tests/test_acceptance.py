@@ -68,7 +68,7 @@ def test_operator_algebra_identities(grid32):
     v = random_divfree(grid32, seed=4, kmax=10)
     c = v.coeffs.copy()
     c[:, 0, 0, 0] = 0.0
-    v = sp.vector_from_coeffs(grid32, c, divergence_free=True)
+    v = sp.vector_from_coeffs(grid32, c)
     bs = sp.biot_savart(sp.curl(v))
     worst = max(worst, np.max(np.abs(bs.coeffs - v.coeffs))
                 / np.max(np.abs(v.coeffs)))
@@ -266,8 +266,7 @@ def test_divergence_free_truncation_suite():
     spec = AnnulusSpec(0.12, 0.2, 0.32, 0.42, (0.5, 0.5, 0.5))
     a = random_divfree(grid, seed=61, kmax=3)
     b = random_divfree(grid, seed=62, kmax=3)
-    combo = sp.vector_from_coeffs(grid, 2.0 * a.coeffs - 0.5 * b.coeffs,
-                                  divergence_free=True)
+    combo = sp.vector_from_coeffs(grid, 2.0 * a.coeffs - 0.5 * b.coeffs)
     sa = localize_divfree(spectral_sampler(a), spec, l_max=24)
     sb = localize_divfree(spectral_sampler(b), spec, l_max=24)
     sc = localize_divfree(spectral_sampler(combo), spec, l_max=24)

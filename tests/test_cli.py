@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from nslab import cli
+from nslab import cli, packet
 from nslab import spectral as sp
 from nslab.cli import (
     ConfigError,
@@ -273,6 +273,50 @@ def test_bad_energy_cutoff_exits_two_before_the_solve(tmp_path, monkeypatch):
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 2
     assert "need 0 < r < R/2" in manifest.error
+
+
+def test_unknown_region_exits_two_before_the_data(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    text = ("experiment = energy-budget\ngrid.N = 8\n"
+            "data.kind = random-band\ndata.amplitude = 0.1\n"
+            "solver.dt = 1e-3\nsolver.T = 0.002\n"
+            "harness.x0 = 0.5,0.5,0.5\nharness.R = 0.35\nharness.r = 0.1\n"
+            "harness.region = sideways\n")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "unknown harness.region 'sideways'" in manifest.error
+
+
+@pytest.mark.parametrize("extra, message", [
+    # n = 16 and 32 are too fine for the pairing grid
+    ("counterexample.pairing_N = 64\n", "cannot resolve"),
+    # n = 4, 8 resolve on the pairing grid but n = 8 not on the doubled box
+    ("counterexample.pairing_N = 64\ncounterexample.n_list = 4,8\n",
+     "cannot resolve"),
+    ("counterexample.xi = 1,0,0\ncounterexample.eta = 2,0,0\n",
+     "degenerate packet"),
+], ids=["pairing-grid", "doubled-box", "degenerate"])
+def test_unresolvable_packet_exits_two_before_the_study(tmp_path, monkeypatch,
+                                                        extra, message):
+    monkeypatch.setattr(cli, "growth_study", _must_not_run)
+    monkeypatch.setattr(cli, "doubling_change", _must_not_run)
+    cfg = parse_config(write_cfg(tmp_path, "experiment = counterexample\n"
+                                 + extra))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert message in manifest.error
+
+
+def test_unresolvable_packet_data_exits_two_before_the_packet(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.setattr(packet, "_stream_samples", _must_not_run)
+    text = ("experiment = solve\ngrid.N = 8\ndata.kind = wave-packet\n"
+            "solver.dt = 1e-3\nsolver.T = 0.002\n")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "box too small" in manifest.error
 
 
 def test_misordered_annulus_exits_two_before_the_data(tmp_path, monkeypatch):

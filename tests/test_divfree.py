@@ -151,8 +151,7 @@ def test_truncation_stays_divergence_free(localized):
 def test_truncation_is_linear(grid32):
     a = smooth_field(grid32, seed=6)
     b = smooth_field(grid32, seed=7)
-    combo = sp.vector_from_coeffs(grid32, 2.0 * a.coeffs - 0.5 * b.coeffs,
-                                  divergence_free=True)
+    combo = sp.vector_from_coeffs(grid32, 2.0 * a.coeffs - 0.5 * b.coeffs)
     sph_a = localize_divfree(spectral_sampler(a), SPEC, l_max=24)
     sph_b = localize_divfree(spectral_sampler(b), SPEC, l_max=24)
     sph_c = localize_divfree(spectral_sampler(combo), SPEC, l_max=24)

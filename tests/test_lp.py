@@ -112,7 +112,7 @@ def test_bernstein_gradient_ratio_within_band_limits(grid16):
 def test_bernstein_embedding_ratio_is_scale_free(grid16):
     u = random_divfree(grid16, seed=8)
     out_a = bernstein_check(u, 2.0, 2, np.inf)
-    v = sp.vector_from_coeffs(grid16, 5.0 * u.coeffs, u.divergence_free)
+    v = sp.vector_from_coeffs(grid16, 5.0 * u.coeffs)
     out_b = bernstein_check(v, 2.0, 2, np.inf)
     assert np.isclose(out_a["embedding_ratio"], out_b["embedding_ratio"], rtol=1e-10)
 

@@ -146,10 +146,10 @@ def test_kernel_scan_default_centers_cover_the_box():
 # the frequency sweep
 
 
-def test_growth_study_rejects_degenerate_packets():
+def test_growth_study_rejects_degenerate_packets(norm_grid, pairing_grid):
     spec = WavePacketSpec(n=2, xi=(1.0, 0.0, 0.0), eta_dir=(2.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="degenerate packet"):
-        growth_study(spec, [2, 4])
+        growth_study(spec, [2, 4], norm_grid, pairing_grid)
 
 
 def test_growth_study_is_consistent_with_single_runs(norm_grid, pairing_grid):

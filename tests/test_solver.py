@@ -137,7 +137,7 @@ def _reference_products(grid, u, v):
     n3 = grid.N**3
     us, vs = u.samples(), v.samples()
     labelled = np.abs(np.stack(_modes(grid, grid.N // 2)))
-    cut = np.floor(grid.dealias_fraction * grid.N / 2.0)
+    cut = np.floor(2.0 / 3.0 * grid.N / 2.0)
     keep = np.all((labelled <= cut) & (labelled < grid.N // 2), axis=0)
     return {
         (i, j): scipy.fft.fftn(us[i] * vs[j] + us[j] * vs[i]) / n3 * keep

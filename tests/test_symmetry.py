@@ -191,7 +191,7 @@ def test_mean_zero_normalize_removes_the_means(grid16):
     u = random_divfree(grid16, seed=9)
     c = u.coeffs.copy()
     c[:, 0, 0, 0] = np.array([0.4, -0.2, 0.1])
-    biased = sp.vector_from_coeffs(grid16, c, divergence_free=True)
+    biased = sp.vector_from_coeffs(grid16, c)
     data = DataTriple(biased, [], 0.5)
     out, v = mean_zero_normalize(data)
     assert np.max(np.abs(np.real(out.u0.mean()))) < 1e-13
@@ -203,7 +203,7 @@ def test_mean_zero_normalize_handles_forced_data(grid16):
     f = random_divfree(grid16, seed=11)
     c = f.coeffs.copy()
     c[:, 0, 0, 0] = np.array([0.0, 0.3, 0.0])
-    forced = sp.vector_from_coeffs(grid16, c, divergence_free=True)
+    forced = sp.vector_from_coeffs(grid16, c)
     data = DataTriple(u, [forced, forced], 0.5)
     out, _ = mean_zero_normalize(data)
     assert np.max(np.abs(np.real(out.u0.mean()))) < 1e-13
