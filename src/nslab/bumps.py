@@ -20,9 +20,19 @@ def glue(t):
 
 def smoothstep(t):
     """C^inf monotone step: 0 for t <= 0, 1 for t >= 1."""
-    a = glue(t)
-    b = glue(1.0 - np.asarray(t, dtype=float))
-    return a / (a + b + np.finfo(float).tiny)
+    t = np.asarray(t, dtype=float)
+    # outside (0, 1) the quotient below is exactly 0 (t <= 0 and NaN give
+    # a = 0) or exactly 1 (t >= 1 gives b = 0, and a + tiny == a there), so
+    # only the transition band pays for the exponentials
+    out = np.zeros_like(t)
+    out[t >= 1.0] = 1.0
+    band = (t > 0.0) & (t < 1.0)
+    tb = t[band]
+    a = glue(tb)
+    b = glue(1.0 - tb)
+    out[band] = a / (a + b + np.finfo(float).tiny)
+    # a numpy scalar for scalar input, as the elementwise quotient gives
+    return out[()]
 
 
 def lp_profile(r):

@@ -31,7 +31,7 @@ from .estimates import (
     total_speed,
 )
 from .packet import (WavePacketSpec, _centered_offsets, check_study,
-                     doubling_change, growth_study, wave_packet)
+                     growth_study, wave_packet)
 from .solver import SolverConfig, evolve, picard_solve, residual
 from .spaces import DataTriple, sobolev_norm
 from .symmetry import (
@@ -674,14 +674,13 @@ def _exp_counterexample(cfg, art, baselines):
     _checked(cfg, check_study, template, cfg.get("counterexample.n_list"),
              norm_grid, pairing_grid, cfg.get("counterexample.doubling_n"))
     table = growth_study(template, cfg.get("counterexample.n_list"),
-                         norm_grid, pairing_grid)
+                         norm_grid, pairing_grid,
+                         cfg.get("counterexample.doubling_n"))
     table.to_csv(art.path("growth.csv"))
     table.to_gnuplot(art.path("growth.dat"))
     ratios = np.abs(table.X0[1:] / table.X0[:-1])
     h1r = table.h1[1:] / table.h1[:-1]
     h2r = table.h2[1:] / table.h2[:-1]
-    dbl = doubling_change(template, cfg.get("counterexample.doubling_n"),
-                          pairing_grid)
     verdicts = [
         Verdict("x0-slope", table.slope >= 0.8, table.slope, 0.8),
         Verdict("x0-ratio-min", float(ratios.min()) >= 1.5,
@@ -692,7 +691,8 @@ def _exp_counterexample(cfg, art, baselines):
         Verdict("h2-scaling",
                 bool(np.all(np.abs(h2r / 2.0**0.5 - 1.0) <= 0.15)),
                 float(np.max(np.abs(h2r / 2.0**0.5 - 1.0))), 0.15),
-        Verdict("box-doubling", dbl <= 0.02, dbl, 0.02),
+        Verdict("box-doubling", table.doubling <= 0.02, table.doubling,
+                0.02),
     ]
     return verdicts
 

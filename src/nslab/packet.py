@@ -38,13 +38,14 @@ __all__ = [
     "pairing_from_spec",
     "check_study",
     "growth_study",
-    "doubling_change",
     "GrowthTable",
     "kernel_scan",
 ]
 
 _DEFAULT_CHI = functools.partial(radial_bump, flat=0.0)
 _SQ2 = 1.0 / np.sqrt(2.0)
+# the index pairs i <= j of the symmetric pairing sum
+_PAIRS = tuple((i, j) for i in range(3) for j in range(i, 3))
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,9 @@ class WavePacketSpec:
 
     component selects which entry of the vector kernel grad^3 Lap^{-1} psi
     the pairing contracts against; it is part of the test-function choice,
-    as are the bump center and radius.
+    as are the bump center and radius.  chi is the radial envelope profile;
+    it must vanish from radius 1 on, since the packet is only evaluated
+    within distance 1 of x0 along every axis.
     """
 
     n: int
@@ -128,17 +131,26 @@ def _centered_offsets(grid: SpectralGrid, center):
             for c, shape in zip(center, shapes)]
 
 
+def _ball_offsets(grid: SpectralGrid, center, radius):
+    """The nodes within radius of center along every axis, as an np.ix_
+    index of the grid, and their minimum-image displacements x - center,
+    one broadcastable array per axis; a profile that vanishes from radius
+    on is zero at every other node."""
+    dx = _centered_offsets(grid, center)
+    box = np.ix_(*[np.nonzero(np.abs(d.ravel()) < radius)[0] for d in dx])
+    return box, [d.ravel()[i] for d, i in zip(dx, box)]
+
+
 def _stream_samples(spec: WavePacketSpec, grid: SpectralGrid, dtype=float):
     """Samples of the scalar part chi(x - x0) sin(n xi . (x - x0))."""
-    dx = _centered_offsets(grid, spec.x0)
-    rad = np.sqrt(sum(d * d for d in dx))
-    scal = spec.chi(rad)
-    del rad
+    box, dx = _ball_offsets(grid, spec.x0, 1.0)
+    near = spec.chi(np.sqrt(sum(d * d for d in dx)))
     phase = spec.n * sum(x * d for x, d in zip(spec.xi, dx))
-    del dx
     np.sin(phase, out=phase)
-    scal *= phase
-    return scal.astype(dtype, copy=False)
+    near *= phase
+    scal = np.zeros(grid.shape, dtype)
+    scal[box] = near
+    return scal
 
 
 def wave_packet(spec: WavePacketSpec, grid: SpectralGrid) -> VectorField:
@@ -171,16 +183,20 @@ def mass_one_bump(grid: SpectralGrid, center=(0.0, 0.0, 0.0),
 
 
 def _bump_samples(grid: SpectralGrid, center, radius):
-    dx = _centered_offsets(grid, center)
-    rad = np.sqrt(sum(d * d for d in dx))
-    raw = radial_bump(rad / radius)
+    box, dx = _ball_offsets(grid, center, radius)
+    raw = np.zeros(grid.shape)
+    raw[box] = radial_bump(np.sqrt(sum(d * d for d in dx)) / radius)
     raw /= np.sum(raw, dtype=np.float64) * grid.cell_volume
     return raw
 
 
-def _pairing_kernel_total(grid, lap, psi_hat, component):
-    """Accumulate sum_ij int (d_i d_j d_l Lap^-1 psi) lap_i lap_j dx given
-    real-space Laplacian samples and the rfftn transform of psi."""
+def _pairing_kernels(grid, psi_hat, component):
+    """The kernels d_i d_j d_l Lap^-1 psi (l = component) in real space for
+    i <= j in the order of _PAIRS, given the rfftn transform of psi's
+    samples; they come out in the precision of psi_hat.
+
+    Shared by the double-precision x0_pairing and the single-precision
+    _bump_kernels of the lean path."""
     L = grid.L
     mods = sp._deriv_modes(grid.N)
     sym = grid.laplace_symbol()
@@ -190,15 +206,51 @@ def _pairing_kernel_total(grid, lap, psi_hat, component):
     base[0, 0, 0] = 0.0
     scale = 2.0j * np.pi / L
     base = base * (scale * mods[component]).astype(base.dtype)
+    kernels = []
+    for i, j in _PAIRS:
+        kern = base * ((scale ** 2) * mods[i] * mods[j]).astype(base.dtype)
+        kernels.append(scipy.fft.irfftn(kern, s=grid.shape, overwrite_x=True))
+    return kernels
+
+
+def _contract(grid, kernels, lap):
+    """sum_ij int (d_i d_j d_l Lap^-1 psi) lap_i lap_j dx from the kernels of
+    _pairing_kernels and real-space Laplacian samples."""
     total = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            kern = base * ((scale ** 2) * mods[i] * mods[j]).astype(base.dtype)
-            kern = scipy.fft.irfftn(kern, s=grid.shape, overwrite_x=True)
-            w = 1.0 if i == j else 2.0
-            total += w * np.einsum("abc,abc,abc->", kern, lap[i], lap[j],
-                                   dtype=np.float64)
+    for (i, j), kern in zip(_PAIRS, kernels):
+        w = 1.0 if i == j else 2.0
+        total += w * np.einsum("abc,abc,abc->", kern, lap[i], lap[j],
+                               dtype=np.float64)
     return float(total) * grid.cell_volume
+
+
+def _bump_kernels(spec: WavePacketSpec, grid: SpectralGrid):
+    """The single-precision pairing kernels of spec's test bump on grid;
+    they depend on the bump and the grid, not on the packet."""
+    psi_hat = scipy.fft.rfftn(_bump_samples(
+        grid, spec.psi_center, spec.psi_radius).astype(np.float32))
+    return _pairing_kernels(grid, psi_hat, spec.component)
+
+
+def _packet_laplacian(spec: WavePacketSpec, grid: SpectralGrid):
+    """Single-precision samples of the three components of Lap u for the
+    packet u of spec."""
+    mods = sp._deriv_modes(grid.N)
+    sym = grid.laplace_symbol().astype(np.float32)
+    scale = 2.0j * np.pi / grid.L
+    shat = scipy.fft.rfftn(_stream_samples(spec, grid, dtype=np.float32))
+    eta = spec.eta_dir
+    amp = float(spec.n) ** -2.5
+    lap = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        # curl of the constant-direction stream function eta * scal
+        mult = (scale * amp) * (mods[j] * eta[k] - mods[k] * eta[j])
+        u_hat = shat * mult.astype(np.complex64)
+        u_hat *= sym
+        lap.append(scipy.fft.irfftn(u_hat, s=grid.shape, overwrite_x=True))
+        del u_hat
+    return lap
 
 
 def x0_pairing(u1: VectorField, psi: ScalarField, component: int = 0) -> float:
@@ -215,54 +267,37 @@ def x0_pairing(u1: VectorField, psi: ScalarField, component: int = 0) -> float:
     lap = [sp.laplacian(u1.component(i)).samples() for i in range(3)]
     # the rfftn of psi's samples without the 1/N^3 of the stored convention
     psi_hat = psi.coeffs * grid.N**3
-    return _pairing_kernel_total(grid, lap, psi_hat, component)
+    return _contract(grid, _pairing_kernels(grid, psi_hat, component), lap)
 
 
-def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid) -> float:
+def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid,
+                      kernels=None) -> float:
     """Build the packet and evaluate the pairing in one lean pass.
 
-    Works in single precision through real-input FFTs so a 256^3 box fits
-    in a few hundred MB; the pairing tolerances are percent-level, far
-    above float32 roundoff.
+    Works in single precision through real-input FFTs: the shipped study,
+    which holds the six kernels of a 256^3 box while it pairs three
+    packets, peaks at about 910 MB.  The pairing tolerances are
+    percent-level, far above float32 roundoff.  kernels, when given, are
+    _bump_kernels(spec, grid), built once for several packets.
     """
     _check_resolution(spec, grid)
     _check_pairing_box(grid)
-    dtype = np.float32
-    L = grid.L
-    mods = sp._deriv_modes(grid.N)
-    sym = grid.laplace_symbol().astype(dtype)
-    scale = 2.0j * np.pi / L
-    ctype = np.result_type(dtype, np.complex64)
-
-    scal = _stream_samples(spec, grid, dtype=dtype)
-    shat = scipy.fft.rfftn(scal)
-    del scal
-    eta = spec.eta_dir
-    amp = float(spec.n) ** -2.5
-    lap = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        # curl of the constant-direction stream function eta * scal
-        u_hat = shat * ((scale * amp)
-                        * (mods[j] * eta[k] - mods[k] * eta[j])).astype(ctype)
-        u_hat *= sym
-        lap.append(scipy.fft.irfftn(u_hat, s=grid.shape, overwrite_x=True))
-        del u_hat
-    del shat, sym
-    psi_hat = scipy.fft.rfftn(_bump_samples(
-        grid, spec.psi_center, spec.psi_radius).astype(dtype))
-    return _pairing_kernel_total(grid, lap, psi_hat, spec.component)
+    if kernels is None:
+        kernels = _bump_kernels(spec, grid)
+    return _contract(grid, kernels, _packet_laplacian(spec, grid))
 
 
 @dataclass
 class GrowthTable:
-    """Growth of the pairing and of the packet norms against n."""
+    """Growth of the pairing and of the packet norms against n, and the
+    relative change of X0 when the pairing box is doubled."""
 
     n: np.ndarray
     X0: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     slope: float
+    doubling: float
 
     def to_csv(self, path):
         np.savetxt(path, np.column_stack([self.n, self.X0, self.h1, self.h2]),
@@ -277,45 +312,50 @@ class GrowthTable:
 
 
 def growth_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
-                 pairing_grid: SpectralGrid) -> GrowthTable:
+                 pairing_grid: SpectralGrid, doubling_n: int) -> GrowthTable:
     """Packet norms and pairing across a frequency sweep, with the fitted
-    log-log slope of |X0| against n.
+    log-log slope of |X0| against n and the box-doubling change at
+    doubling_n.
 
     Norms are evaluated on a tight box around the packet (integer-lattice
     Sobolev weights see the carrier/envelope separation best there); the
-    pairing runs on a wide box keeping periodic kernel images small.
+    pairing runs on a wide box keeping periodic kernel images small.  The
+    doubling change is the relative change of X0 at doubling_n when the
+    pairing box is doubled at the same mode count; doubling_n must stay
+    resolvable on the doubled (coarser) grid.
     """
     _check_leading_term(template)
-    ns, X0s, h1s, h2s = [], [], [], []
+    h1s, h2s = [], []
     for n in n_list:
-        spec = template.with_n(n)
-        u1 = wave_packet(spec, norm_grid)
+        u1 = wave_packet(template.with_n(n), norm_grid)
         h1s.append(sobolev_norm(u1, 1.0))
         h2s.append(sobolev_norm(u1, 2.0))
         del u1
-        X0s.append(pairing_from_spec(spec, pairing_grid))
-        ns.append(n)
-    ns = np.array(ns, dtype=float)
-    X0s = np.array(X0s)
+    # every pairing on the pairing box shares one kernel build, which is
+    # freed before the doubled box builds its own: holding both would set
+    # the memory peak
+    paired = list(n_list)
+    if doubling_n not in paired:
+        paired.append(doubling_n)
+    kernels = _bump_kernels(template, pairing_grid)
+    X0s = [pairing_from_spec(template.with_n(n), pairing_grid, kernels)
+           for n in paired]
+    del kernels
+    base = X0s[paired.index(doubling_n)]
+    other = pairing_from_spec(template.with_n(doubling_n),
+                              sp.make_grid(2.0 * pairing_grid.L,
+                                           pairing_grid.N))
+    ns = np.array(n_list, dtype=float)
+    X0s = np.array(X0s[:len(n_list)])
     slope = float(np.polyfit(np.log(ns), np.log(np.abs(X0s)), 1)[0])
-    return GrowthTable(ns, X0s, np.array(h1s), np.array(h2s), slope)
-
-
-def doubling_change(template: WavePacketSpec, n: int,
-                    pairing_grid: SpectralGrid) -> float:
-    """Relative change of X0 when the pairing box is doubled at the same
-    mode count; n must stay resolvable on the doubled (coarser) grid."""
-    spec = template.with_n(n)
-    base = pairing_from_spec(spec, pairing_grid)
-    other = pairing_from_spec(spec, sp.make_grid(2.0 * pairing_grid.L,
-                                                 pairing_grid.N))
-    return abs(other - base) / abs(base)
+    return GrowthTable(ns, X0s, np.array(h1s), np.array(h2s), slope,
+                       abs(other - base) / abs(base))
 
 
 def check_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
                 pairing_grid: SpectralGrid, doubling_n: int):
     """Raise, before any packet is built, the ValueError that growth_study
-    or doubling_change would raise part-way through on these inputs."""
+    would raise part-way through on these inputs."""
     _check_leading_term(template)
     for n in n_list:
         _check_resolution(template.with_n(n), norm_grid)

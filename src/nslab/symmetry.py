@@ -177,8 +177,23 @@ def apply(transform: SymmetryTransform, subject):
     if isinstance(subject, DataTriple):
         return _apply_data(transform, subject)
     if isinstance(subject, Trajectory):
-        return _apply_traj(transform, subject)
+        out = _apply_traj(transform, subject)
+        out.meta = _carried_meta(transform, subject.meta)
+        return out
     raise TypeError(f"cannot transform {type(subject).__name__}")
+
+
+def _carried_meta(tr, meta: dict) -> dict:
+    """The source trajectory's meta for its transform: a rescaling by lam
+    stretches time, and with it the step dt, by lam^2, and the equation
+    keeps its form only with the hyperdissipation coefficient eps scaled
+    by lam^2 as well."""
+    meta = dict(meta)
+    if isinstance(tr, Scale):
+        for key in ("dt", "eps"):
+            if key in meta:
+                meta[key] *= tr.lam**2
+    return meta
 
 
 def _apply_data(tr, data: DataTriple) -> DataTriple:

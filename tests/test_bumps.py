@@ -1,9 +1,11 @@
 """Smooth cutoff building blocks: ranges, plateaus, and the telescoping
 identity behind the dyadic partition."""
 
+import functools
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +93,50 @@ def test_glue_is_bounded_and_nonnegative(t):
 @given(st.floats(0.0, 10.0))
 def test_lp_profile_is_monotone(r):
     assert lp_profile(r) >= lp_profile(r + 0.01) - 1e-12
+
+
+def _smoothstep_full(t):
+    """smoothstep's quotient evaluated at every point, the reference that
+    the band-only evaluation must reproduce bit for bit."""
+    a = glue(t)
+    b = glue(1.0 - np.asarray(t, dtype=float))
+    return a / (a + b + np.finfo(float).tiny)
+
+
+def _radial_bump_full(r, flat=0.5):
+    r = np.asarray(r, dtype=float)
+    return _smoothstep_full((1.0 - r) / (1.0 - flat))
+
+
+_PROFILES = {
+    "smoothstep": (smoothstep, _smoothstep_full),
+    "lp_profile": (lp_profile,
+                   lambda r: _smoothstep_full(2.0 - np.asarray(r, float))),
+    "chi_step": (chi_step,
+                 lambda s: _smoothstep_full(-np.asarray(s, float))),
+    "radial_bump": (radial_bump, _radial_bump_full),
+    "radial_bump_flat0": (functools.partial(radial_bump, flat=0.0),
+                          functools.partial(_radial_bump_full, flat=0.0)),
+}
+_EDGES = [0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 1e-310, -1e-310, 1.0 - 1e-17,
+          1.0 - 1e-16, 5e-324, np.inf, -np.inf, np.nan]
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.int64),
+                          np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_profiles_match_the_full_formula_bit_for_bit(name):
+    fn, ref = _PROFILES[name]
+    rng = np.random.default_rng(3)
+    cube = rng.uniform(-3.0, 3.0, (12, 12, 12))
+    cube.flat[:len(_EDGES)] = _EDGES
+    for x in _EDGES + [np.array(e) for e in _EDGES] + [cube]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(x)
+        _assert_same(got, ref(x))

@@ -300,7 +300,6 @@ def test_unknown_region_exits_two_before_the_data(tmp_path, monkeypatch):
 def test_unresolvable_packet_exits_two_before_the_study(tmp_path, monkeypatch,
                                                         extra, message):
     monkeypatch.setattr(cli, "growth_study", _must_not_run)
-    monkeypatch.setattr(cli, "doubling_change", _must_not_run)
     cfg = parse_config(write_cfg(tmp_path, "experiment = counterexample\n"
                                  + extra))
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))

@@ -4,7 +4,9 @@ frequency sweep bookkeeping."""
 import numpy as np
 import pytest
 
+from nslab import packet
 from nslab import spectral as sp
+from nslab.bumps import radial_bump
 from nslab.packet import (
     GrowthTable,
     WavePacketSpec,
@@ -102,6 +104,22 @@ def test_mass_one_bump_has_unit_mass(norm_grid):
     assert np.max(np.abs(vals[r > 0.7 + 1e-9])) < 1e-12
 
 
+@pytest.mark.parametrize("center", [(1.8, 0.0, 0.0), (8.95, 4.5, 0.3)],
+                         ids=["inside", "wrapping"])
+def test_samples_on_the_support_box_match_the_full_grid(center):
+    # the full-grid evaluation is the reference, bit for bit
+    grid = sp.make_grid(9.0, 48)
+    dx = packet._centered_offsets(grid, center)
+    rad = np.sqrt(sum(d * d for d in dx))
+    raw = radial_bump(rad / 0.7)
+    raw /= np.sum(raw, dtype=np.float64) * grid.cell_volume
+    assert np.array_equal(packet._bump_samples(grid, center, 0.7), raw)
+    spec = WavePacketSpec(n=3, x0=center)
+    full = spec.chi(rad) * np.sin(
+        spec.n * sum(x * d for x, d in zip(spec.xi, dx)))
+    assert np.array_equal(packet._stream_samples(spec, grid), full)
+
+
 # ---------------------------------------------------------------------------
 # the pairing
 
@@ -149,13 +167,13 @@ def test_kernel_scan_default_centers_cover_the_box():
 def test_growth_study_rejects_degenerate_packets(norm_grid, pairing_grid):
     spec = WavePacketSpec(n=2, xi=(1.0, 0.0, 0.0), eta_dir=(2.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="degenerate packet"):
-        growth_study(spec, [2, 4], norm_grid, pairing_grid)
+        growth_study(spec, [2, 4], norm_grid, pairing_grid, 4)
 
 
 def test_growth_study_is_consistent_with_single_runs(norm_grid, pairing_grid):
     spec = WavePacketSpec(n=2)
     table = growth_study(spec, [2, 4], norm_grid=norm_grid,
-                         pairing_grid=pairing_grid)
+                         pairing_grid=pairing_grid, doubling_n=4)
     assert np.array_equal(table.n, [2.0, 4.0])
     u = wave_packet(spec.with_n(4), norm_grid)
     assert np.isclose(table.h1[1], sobolev_norm(u, 1.0), rtol=1e-12)
@@ -166,10 +184,42 @@ def test_growth_study_is_consistent_with_single_runs(norm_grid, pairing_grid):
     assert np.isclose(table.slope, expect)
 
 
+@pytest.mark.parametrize("doubling_n", [4, 3], ids=["reused", "extra"])
+def test_growth_study_pairs_like_standalone_runs(monkeypatch, norm_grid,
+                                                 pairing_grid, doubling_n):
+    spec = WavePacketSpec(n=2)
+    doubled = sp.make_grid(2.0 * pairing_grid.L, pairing_grid.N)
+    build, pair = packet._bump_kernels, packet.pairing_from_spec
+    builds, pairings = [], []
+
+    def counted_build(spec, grid):
+        builds.append(grid.L)
+        return build(spec, grid)
+
+    def recorded_pair(spec, grid, kernels=None):
+        pairings.append((spec.n, grid.L))
+        return pair(spec, grid, kernels)
+
+    monkeypatch.setattr(packet, "_bump_kernels", counted_build)
+    monkeypatch.setattr(packet, "pairing_from_spec", recorded_pair)
+    table = growth_study(spec, [2, 4], norm_grid, pairing_grid, doubling_n)
+    monkeypatch.undo()
+    # one kernel build per box; doubling_n is paired once on each box
+    assert builds == [pairing_grid.L, doubled.L]
+    extra = [(doubling_n, pairing_grid.L)] if doubling_n == 3 else []
+    assert pairings == ([(2, pairing_grid.L), (4, pairing_grid.L)] + extra
+                        + [(doubling_n, doubled.L)])
+    for n, x0 in zip((2, 4), table.X0):
+        assert x0 == pair(spec.with_n(n), pairing_grid)
+    base = pair(spec.with_n(doubling_n), pairing_grid)
+    other = pair(spec.with_n(doubling_n), doubled)
+    assert table.doubling == abs(other - base) / abs(base)
+
+
 def test_growth_table_round_trips_through_csv(tmp_path):
     table = GrowthTable(np.array([2.0, 4.0]), np.array([-1.5, -3.0]),
                         np.array([0.7, 0.5]), np.array([1.0, 1.4]),
-                        slope=1.0)
+                        slope=1.0, doubling=0.01)
     path = tmp_path / "growth.csv"
     table.to_csv(path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)

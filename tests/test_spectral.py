@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -269,6 +270,18 @@ def test_sup_norm_agrees_with_dense_point_evaluation(grid8):
     s = sp.sup_norm(u, factor=8)
     assert s >= dense - 1e-12
     assert s <= 1.05 * dense + 1e-12
+
+
+@pytest.mark.parametrize("N", [32, 48])
+def test_sup_norm_equals_the_max_of_the_pointwise_lengths(N):
+    # sup_norm takes one sqrt of the largest squared length; the max of the
+    # pointwise lengths must be the same float
+    grid = sp.make_grid(1.0, N)
+    u = random_vector(grid, seed=N)
+    M = 2 * N
+    s = scipy.fft.irfftn(sp._oversampled_half(u.coeffs, N, M),
+                         s=(M, M, M), axes=(-3, -2, -1)) * M**3
+    assert sp.sup_norm(u) == float(np.max(np.sqrt(np.sum(s * s, axis=0))))
 
 
 @pytest.mark.parametrize("N", [8, 48])

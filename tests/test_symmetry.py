@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import spectral as sp
+from nslab.estimates import energy_budget
 from nslab.solver import SolverConfig, evolve, residual
 from nslab.spaces import DataTriple, Trajectory, energy
 from nslab.symmetry import (
@@ -172,6 +173,25 @@ def test_transformed_trajectory_still_solves_the_equations(grid16):
     moved_d = apply(SpaceTranslate((0.21, 0.13, 0.34)), data)
     r = float(np.max(residual(moved_t, moved_d)))
     assert abs(r - base) < 1e-9 * max(base, 1.0)
+
+
+def test_trajectory_transforms_carry_the_meta(grid16):
+    # the global budget of a hyperdissipative run reads meta["eps"]; a
+    # transform that dropped it would leave out the eps ||Delta u||^2 drain
+    # (the defect of the translate then reads 6e-2)
+    eps, dt = 1e-3, 1e-4
+    data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
+    traj = evolve(data, SolverConfig(dt=dt, eps=eps))
+    for tr in (SpaceTranslate((0.21, 0.13, 0.34)), Scale(2.0)):
+        moved = apply(tr, traj)
+        rep = energy_budget(moved, None, apply(tr, data))
+        assert rep.rhs_terms["defect"] <= 1e-6
+    scaled = apply(Scale(2.0), traj).meta
+    assert scaled["eps"] == 4.0 * eps
+    assert scaled["dt"] == 4.0 * dt
+    for tr in (TimeTranslate(0.005), PressureShift((0.5,)),
+               Galilean([0.3, 0.0, -0.2])):
+        assert apply(tr, traj).meta == traj.meta
 
 
 def test_forcing_gauge_leaves_the_residual_unchanged(grid16):
