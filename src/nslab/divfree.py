@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft
-from scipy.special import sph_harm_y
+from scipy.special import sph_harm_y_all
 
 from . import spectral as sp
 from .bumps import smoothstep
@@ -58,6 +58,33 @@ class AnnulusSpec:
                           / (self.R3 - self.R2))
 
 
+def _harmonics(l_max: int, theta, phi):
+    """Y_lm(theta, phi) for every pair (l, m), l <= l_max, |m| <= l, in the
+    order l = 0, 1, ..., m = -l, ..., l (rows), and the ladder term
+    A_lm Y_{l-1,m} of each pair (zero where |m| > l - 1), from one sweep
+    of sph_harm_y_all.
+
+    The ladder identity sin(t) dY_lm/dt = l cos(t) Y_lm - A_lm Y_{l-1,m}
+    gives the theta-derivative from the two."""
+    ls = np.concatenate([np.full(2 * l + 1, l) for l in range(l_max + 1)])
+    ms = np.concatenate([np.arange(-l, l + 1) for l in range(l_max + 1)])
+    width = 2 * l_max + 1
+    table = sph_harm_y_all(l_max, l_max, theta, phi).reshape(
+        (l_max + 1) * width, -1)
+    Y = table[ls * width + ms % width]
+    has_below = np.abs(ms) <= ls - 1
+    ladder = np.zeros_like(Y)
+    ladder[has_below] = table[((ls - 1) * width + ms % width)[has_below]]
+    del table
+    ladder *= np.sqrt((2.0 * ls + 1.0) / np.maximum(2.0 * ls - 1.0, 1.0)
+                      * (ls * ls - ms * ms))[:, np.newaxis]
+    return ls, ms, Y, ladder
+
+
+# points per chunk of SphericalField.evaluate
+_EVAL_CHUNK = 2048
+
+
 @lru_cache(maxsize=8)
 class _SphereBasis:
     """Spherical-harmonic analysis tables on a Gauss-Legendre (latitude)
@@ -70,34 +97,23 @@ class _SphereBasis:
         self.w = w
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         self.n_phi = n_phi
-        pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-        self.pairs = pairs
-        self.ls = np.array([p[0] for p in pairs])
-        self.ms = np.array([p[1] for p in pairs])
-        # theta parts: Y_lm(theta, 0) and the theta-derivative via the
-        # ladder identity sin(t) dY_lm/dt = l cos(t) Y_lm - A_lm Y_{l-1,m}
-        Y0 = np.zeros((len(pairs), n_theta), dtype=complex)
-        dY0 = np.zeros_like(Y0)
+        # theta parts: Y_lm(theta, 0) and the theta-derivative
+        self.ls, self.ms, Y0, ladder = _harmonics(l_max, self.theta, 0.0)
+        self.pairs = list(zip(self.ls.tolist(), self.ms.tolist()))
         sin_t = np.sin(self.theta)
         cos_t = np.cos(self.theta)
-        table = {}
-        for i, (l, m) in enumerate(pairs):
-            Y0[i] = sph_harm_y(l, m, self.theta, 0.0)
-            table[(l, m)] = Y0[i]
-        for i, (l, m) in enumerate(pairs):
-            below = table.get((l - 1, m), np.zeros(n_theta, dtype=complex))
-            A = np.sqrt((2.0 * l + 1.0) / max(2.0 * l - 1.0, 1.0)
-                        * (l * l - m * m))
-            dY0[i] = (l * cos_t * Y0[i] - A * below) / sin_t
-        self.Y0 = Y0
-        self.dY0 = dY0
-        self.sin_t = sin_t
+        dY0 = (self.ls[:, np.newaxis] * cos_t * Y0 - ladder) / sin_t
+        # the conjugated tables the analyses integrate against, and the
+        # longitude index of each pair's m
+        self.Y0_conj = np.conj(Y0)
+        self.dY0_conj = np.conj(dY0)
+        self.mY0_conj = np.conj(1j * self.ms[:, np.newaxis] * Y0 / sin_t)
+        self.m_idx = self.ms % n_phi
 
     def analyze(self, f):
         """Scalar samples (n_theta, n_phi) -> coefficients per (l, m)."""
         fm = np.fft.fft(f, axis=1) * (2.0 * np.pi / self.n_phi)
-        m_idx = self.ms % self.n_phi
-        integrand = np.conj(self.Y0) * fm[:, m_idx].T
+        integrand = self.Y0_conj * fm[:, self.m_idx].T
         return integrand @ self.w
 
     def analyze_tangent(self, u_theta, u_phi):
@@ -107,11 +123,10 @@ class _SphereBasis:
         """
         ft = np.fft.fft(u_theta, axis=1) * (2.0 * np.pi / self.n_phi)
         fp = np.fft.fft(u_phi, axis=1) * (2.0 * np.pi / self.n_phi)
-        m_idx = self.ms % self.n_phi
-        ft_m = ft[:, m_idx].T
-        fp_m = fp[:, m_idx].T
-        dY = np.conj(self.dY0)
-        mY = np.conj(1j * self.ms[:, np.newaxis] * self.Y0 / self.sin_t)
+        ft_m = ft[:, self.m_idx].T
+        fp_m = fp[:, self.m_idx].T
+        dY = self.dY0_conj
+        mY = self.mY0_conj
         ll = self.ls * (self.ls + 1.0)
         ll_safe = np.where(ll > 0, ll, 1.0)
         B = ((dY * ft_m + mY * fp_m) @ self.w) / ll_safe
@@ -221,15 +236,24 @@ class SphericalField:
         return float(tail / total)
 
     def evaluate(self, points) -> np.ndarray:
-        """Exact synthesis at arbitrary points (n, 3) -> (n, 3)."""
+        """Exact synthesis at arbitrary points (n, 3) -> (n, 3).
+
+        The points inside the annulus are synthesised in chunks of
+        _EVAL_CHUNK, which bounds the size of the per-pair tables."""
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
         r = np.linalg.norm(pts, axis=1)
         out = np.zeros_like(pts)
-        live = (r >= self.r_nodes[0] - 1e-14) & (r <= self.r_nodes[-1] + 1e-14)
-        if not np.any(live):
-            return out
-        p = pts[live]
-        rl = np.clip(r[live], self.r_nodes[0], self.r_nodes[-1])
+        live = np.nonzero((r >= self.r_nodes[0] - 1e-14)
+                          & (r <= self.r_nodes[-1] + 1e-14))[0]
+        for start in range(0, len(live), _EVAL_CHUNK):
+            sel = live[start:start + _EVAL_CHUNK]
+            out[sel] = self._synthesize(pts[sel], r[sel])
+        return out if np.asarray(points).ndim > 1 else out[0]
+
+    def _synthesize(self, p, r):
+        """The field at offsets p from the center, at distances r inside
+        the annulus."""
+        rl = np.clip(r, self.r_nodes[0], self.r_nodes[-1])
         theta = np.arccos(np.clip(p[:, 2] / rl, -1.0, 1.0))
         phi = np.arctan2(p[:, 1], p[:, 0])
         a_q = _barycentric_interp(self.r_nodes, self.a, rl)
@@ -240,28 +264,23 @@ class SphericalField:
         u_r = np.zeros(len(p), dtype=complex)
         u_t = np.zeros(len(p), dtype=complex)
         u_p = np.zeros(len(p), dtype=complex)
-        table = {}
-        for i, (l, m) in enumerate(self.basis.pairs):
-            table[(l, m)] = sph_harm_y(l, m, theta, phi)
+        ls, ms, Y, ladder = _harmonics(self.l_max, theta, phi)
         sin_safe = np.where(sin_t > 1e-12, sin_t, 1.0)
-        for i, (l, m) in enumerate(self.basis.pairs):
-            Y = table[(l, m)]
-            below = table.get((l - 1, m), 0.0)
-            A = np.sqrt((2.0 * l + 1.0) / max(2.0 * l - 1.0, 1.0)
-                        * (l * l - m * m))
-            dY = (l * cos_t * Y - A * below) / sin_safe
-            mY = 1j * m * Y / sin_safe
-            u_r += a_q[:, i] * Y
-            u_t += B_q[:, i] * dY - C_q[:, i] * mY
-            u_p += B_q[:, i] * mY + C_q[:, i] * dY
+        dY = (ls[:, np.newaxis] * cos_t * Y - ladder) / sin_safe
+        del ladder
+        mY = 1j * ms[:, np.newaxis] * Y / sin_safe
+        # summed pair by pair, in the basis order
+        for i in range(len(ls)):
+            u_r += a_q[:, i] * Y[i]
+            u_t += B_q[:, i] * dY[i] - C_q[:, i] * mY[i]
+            u_p += B_q[:, i] * mY[i] + C_q[:, i] * dY[i]
         rhat = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
         that = np.column_stack([cos_t * np.cos(phi), cos_t * np.sin(phi), -sin_t])
         phat = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
         vec = (np.real(u_r)[:, np.newaxis] * rhat
                + np.real(u_t)[:, np.newaxis] * that
                + np.real(u_p)[:, np.newaxis] * phat)
-        out[live] = vec
-        return out if np.asarray(points).ndim > 1 else out[0]
+        return vec
 
 
 def _sphere_points(center, r, basis):

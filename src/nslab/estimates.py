@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from . import spectral as sp
 from .bumps import chi_step
-from .spaces import DataTriple, Trajectory, energy
+from .spaces import (DataTriple, Trajectory, cumulative_simpson,
+                     cumulative_trapezoid, energy)
 from .spectral import VectorField
 
 __all__ = [
@@ -109,7 +109,7 @@ class ShrinkingCutoff(CutoffProfile):
 
     def radius_path(self, times, sup_profile, sup_times) -> np.ndarray:
         """R'(t) on the requested times from the sup-norm history."""
-        acc = cumulative_trapezoid(sup_profile, sup_times, initial=0.0)
+        acc = cumulative_trapezoid(sup_profile, sup_times)
         return self.R_prime0 - np.interp(times, sup_times, acc) / self.c
 
     def eta(self, grid, R_prime_t: float):
@@ -217,13 +217,13 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
         d = traj.diagnostics
         if d is None:
             raise ValueError("global energy check needs solver diagnostics")
-        drop = cumulative_simpson(d.grad_sq, x=d.t, initial=0.0)
-        pump = cumulative_simpson(d.f_inner, x=d.t, initial=0.0)
+        drop = cumulative_simpson(d.grad_sq, d.t)
+        pump = cumulative_simpson(d.f_inner, d.t)
         lhs = d.energy + drop - pump
         eps = traj.meta.get("eps", 0.0)
         if eps:
             # the hyperdissipation drains eps ||Delta u||^2 as well
-            lhs += eps * cumulative_simpson(d.lap_sq, x=d.t, initial=0.0)
+            lhs += eps * cumulative_simpson(d.lap_sq, d.t)
         ratio = float(np.max(lhs) / E) if E > 0 else 0.0
         defect = float(np.max(np.abs(lhs - lhs[0])) / E) if E > 0 else 0.0
         return EnergyReport(
@@ -292,8 +292,11 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
 def total_speed(traj: Trajectory, data: Optional[DataTriple] = None):
     """Accumulated sup-norm and its ratio to E^{1/2} T^{1/4} + E.
 
-    Requires T <= L^2 (the regime where the bound is meaningful) and
-    normalised (mean-zero) pressure samples.
+    The oversampled sup norm of each stored velocity is integrated over the
+    stored times.  Requires T <= L^2 (the regime where the bound is
+    meaningful); a trajectory that carries pressures must carry normalised
+    (mean-zero) ones.  The total speed has no pressure in it, so none is
+    made here.
     """
     grid = traj.grid
     T = traj.T - traj.times[0]
@@ -304,12 +307,8 @@ def total_speed(traj: Trajectory, data: Optional[DataTriple] = None):
     for p in traj.pressures:
         if abs(p.coeffs[0, 0, 0]) > 1e-10 * max(1.0, np.max(np.abs(p.coeffs))):
             raise ValueError("total speed bound needs normalised pressure")
-    d = traj.diagnostics
-    if d is not None and len(d.t) >= len(traj.times):
-        value = float(np.trapezoid(d.sup, d.t))
-    else:
-        prof = np.array([sp.sup_norm(u) for u in traj.velocities])
-        value = float(np.trapezoid(prof, traj.times))
+    prof = np.array([sp.sup_norm(u) for u in traj.velocities])
+    value = float(np.trapezoid(prof, traj.times))
     data = _data_for(traj, data)
     E = energy(data)
     bound = np.sqrt(E) * T**0.25 + E
@@ -369,13 +368,8 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
         )
 
     cutoff = ShrinkingCutoff(tuple(x0), R - r / 8.0, delta, c)
-    d = traj.diagnostics
-    if d is not None:
-        sup_times, sup_prof = d.t, d.sup
-    else:
-        sup_times = traj.times
-        sup_prof = np.array([sp.sup_norm(u) for u in traj.velocities])
-    radii = cutoff.radius_path(traj.times, sup_prof, sup_times)
+    sup_prof = np.array([sp.sup_norm(u) for u in traj.velocities])
+    radii = cutoff.radius_path(traj.times, sup_prof, traj.times)
 
     # one pass over the states: each vorticity and its samples are made
     # once and serve W and both conclusion profiles
@@ -398,15 +392,14 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
     # (where |grad eta| is the constant slope); elsewhere the weight must
     # simply not increase.
     tax_violation = 0.0
-    acc = cumulative_trapezoid(sup_prof, sup_times, initial=0.0)
-    acc_traj = np.interp(traj.times, sup_times, acc)
+    acc = cumulative_trapezoid(sup_prof, traj.times)
     eta1 = cutoff.eta_at(d_grid, radii[0])
     for j in range(len(traj) - 1):
         dt = traj.times[j + 1] - traj.times[j]
         eta0, eta1 = eta1, cutoff.eta_at(d_grid, radii[j + 1])
         deta = (eta1 - eta0) / dt
         ramp = (eta0 > 0.0) & (eta0 < 1.0) & (eta1 > 0.0) & (eta1 < 1.0)
-        sup_avg = (acc_traj[j + 1] - acc_traj[j]) / dt
+        sup_avg = (acc[j + 1] - acc[j]) / dt
         tax_violation = max(
             tax_violation,
             float(np.max(np.where(

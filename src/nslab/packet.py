@@ -17,9 +17,7 @@ FFTs; a cross-check against the double-precision path is in the tests.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -42,7 +40,6 @@ __all__ = [
     "kernel_scan",
 ]
 
-_DEFAULT_CHI = functools.partial(radial_bump, flat=0.0)
 _SQ2 = 1.0 / np.sqrt(2.0)
 # the index pairs i <= j of the symmetric pairing sum
 _PAIRS = tuple((i, j) for i in range(3) for j in range(i, 3))
@@ -54,16 +51,14 @@ class WavePacketSpec:
 
     component selects which entry of the vector kernel grad^3 Lap^{-1} psi
     the pairing contracts against; it is part of the test-function choice,
-    as are the bump center and radius.  chi is the radial envelope profile;
-    it must vanish from radius 1 on, since the packet is only evaluated
-    within distance 1 of x0 along every axis.
+    as are the bump center and radius.  The radial envelope chi is fixed
+    (see _chi).
     """
 
     n: int
     x0: tuple = (1.8, 0.0, 0.0)
     xi: tuple = (1.35, 1.35, 1.35)
     eta_dir: tuple = (_SQ2, -_SQ2, 0.0)
-    chi: Callable = field(default=_DEFAULT_CHI)
     psi_center: tuple = (0.0, 0.0, 0.0)
     psi_radius: float = 0.7
     component: int = 0
@@ -84,9 +79,16 @@ class WavePacketSpec:
     def with_n(self, n: int) -> "WavePacketSpec":
         return WavePacketSpec(
             n=int(n), x0=self.x0, xi=self.xi, eta_dir=self.eta_dir,
-            chi=self.chi, psi_center=self.psi_center,
+            psi_center=self.psi_center,
             psi_radius=self.psi_radius, component=self.component,
         )
+
+
+def _chi(rad):
+    """The packet's radial envelope, radial_bump(rad, flat=0).  It vanishes
+    from radius 1 on, which the packet's evaluation on the nodes around the
+    unit ball at x0 relies on."""
+    return radial_bump(rad, flat=0.0)
 
 
 def _check_resolution(spec: WavePacketSpec, grid: SpectralGrid):
@@ -144,7 +146,7 @@ def _ball_offsets(grid: SpectralGrid, center, radius):
 def _stream_samples(spec: WavePacketSpec, grid: SpectralGrid, dtype=float):
     """Samples of the scalar part chi(x - x0) sin(n xi . (x - x0))."""
     box, dx = _ball_offsets(grid, spec.x0, 1.0)
-    near = spec.chi(np.sqrt(sum(d * d for d in dx)))
+    near = _chi(np.sqrt(sum(d * d for d in dx)))
     phase = spec.n * sum(x * d for x, d in zip(spec.xi, dx))
     np.sin(phase, out=phase)
     near *= phase
@@ -168,7 +170,7 @@ def leading_order(spec: WavePacketSpec, grid: SpectralGrid) -> VectorField:
     the packet minus this is O(n^{-5/2}) in L^2."""
     dx = _centered_offsets(grid, spec.x0)
     rad = np.sqrt(sum(d * d for d in dx))
-    amp = spec.chi(rad) * np.cos(
+    amp = _chi(rad) * np.cos(
         spec.n * sum(x * d for x, d in zip(spec.xi, dx))
     )
     samples = np.stack([float(spec.n) ** -1.5 * amp * v for v in spec.cross])

@@ -14,7 +14,7 @@ time-stepped solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -37,6 +37,7 @@ __all__ = [
     "normalised_pressure",
     "picard_solve",
     "evolve",
+    "with_pressures",
     "residual",
     "continue_max",
 ]
@@ -168,6 +169,8 @@ def _nonlinear(u: VectorField, f_sample: VectorField | None) -> VectorField:
 
 
 def _diag_row(u: VectorField, f_sample: VectorField | None):
+    """Energy, ||grad u||^2, ||Delta u||^2, enstrophy and <u, f>: sums over
+    the coefficients, with no transform."""
     grid = u.grid
     sym = grid.laplace_symbol()
     mag2 = grid.hermitian_weight() * np.sum(np.abs(u.coeffs) ** 2, axis=0)
@@ -175,9 +178,8 @@ def _diag_row(u: VectorField, f_sample: VectorField | None):
     grad_sq = grid.L**3 * float(np.sum(-sym * mag2))
     lap_sq = grid.L**3 * float(np.sum(sym**2 * mag2))
     ens = 0.5 * sp.l2_norm(sp.curl(u)) ** 2
-    sup = sp.sup_norm(u)
     fi = sp.l2_inner(u, f_sample) if f_sample is not None else 0.0
-    return 0.5 * l2_sq, grad_sq, lap_sq, ens, sup, fi
+    return 0.5 * l2_sq, grad_sq, lap_sq, ens, fi
 
 
 def _steps_for(T: float, dt: float) -> int:
@@ -195,6 +197,10 @@ def _stored_steps(n_steps: int, store_every: int) -> list:
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return steps
+
+
+def _f_sample(data: DataTriple, t):
+    return data.f_at(t) if data.f else None
 
 
 def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
@@ -223,8 +229,8 @@ def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
     states = [u]
     for n in range(n_steps):
         t = n * dt
-        f_now = data.f_at(t) if data.f else None
-        f_mid = data.f_at(t + 0.5 * dt) if data.f else None
+        f_now = _f_sample(data, t)
+        f_mid = _f_sample(data, t + 0.5 * dt)
         base = picard_source[n] if picard_source is not None else u
         stage = VectorField(
             grid,
@@ -242,20 +248,22 @@ def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
 
 def _trajectory(data: DataTriple, cfg: SolverConfig, dt: float, steps,
                 states) -> Trajectory:
-    """The stored trajectory of a march: times n*dt, and a diagnostic row
-    and a pressure for each stored state."""
-    def f_at(t):
-        return data.f_at(t) if data.f else None
-
+    """The stored trajectory of a march: times n*dt and a diagnostic row
+    for each stored state; no pressures (see with_pressures)."""
     times = [n * dt for n in steps]
-    # every row before any pressure, so that the pressures are not yet held
-    # while the sup norm's oversampled temporaries set the memory peak
-    rows = [(t, *_diag_row(u, f_at(t))) for t, u in zip(times, states)]
-    pressures = [normalised_pressure(u, f_at(t))
-                 for t, u in zip(times, states)]
+    rows = [(t, *_diag_row(u, _f_sample(data, t)))
+            for t, u in zip(times, states)]
     diag = DiagnosticsTable(*(np.array(c) for c in zip(*rows)))
-    return Trajectory(np.array(times), states, pressures,
+    return Trajectory(np.array(times), states, [],
                       diagnostics=diag, meta={"dt": dt, "eps": cfg.eps})
+
+
+def with_pressures(traj: Trajectory, data: DataTriple) -> Trajectory:
+    """traj with the normalised pressure of each stored state under the
+    forcing of data at its time, as residual needs them."""
+    return replace(traj, pressures=[
+        normalised_pressure(u, _f_sample(data, t))
+        for t, u in zip(traj.times, traj.velocities)])
 
 
 def _stiff_symbol(grid, eps):
@@ -267,7 +275,8 @@ def _stiff_symbol(grid, eps):
 
 def evolve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     """Long-time stepping of the (hyper)dissipative system; no smallness
-    assumption."""
+    assumption.  The trajectory carries its diagnostics but no pressures
+    (see with_pressures)."""
     return _trajectory(data, cfg, *_march(data, cfg))
 
 
@@ -277,7 +286,8 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     Iterates u -> e^{t Delta}u0 + quadrature of e^{(t-t')Delta}(PB(u,u)+Pf)
     with the same exponential-integrator weights as evolve, measures the
     contraction factor in the X^1 norm, and returns the fixed point (with
-    the factor and iteration count in traj.meta).
+    the factor and iteration count in traj.meta); like evolve's, the
+    trajectory carries its diagnostics but no pressures.
     """
     size = h1_data_norm(data, integrated=True)
     if size**4 * data.T > cfg.smallness_c:
@@ -296,7 +306,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     full = half * half
     dt = data.T / n_steps
     for n in range(n_steps):
-        f_mid = data.f_at((n + 0.5) * dt) if data.f else None
+        f_mid = _f_sample(data, (n + 0.5) * dt)
         forced = (
             dt * half * sp.leray_project(sp.dealias(f_mid)).coeffs
             if f_mid is not None
@@ -339,9 +349,14 @@ def residual(traj: Trajectory, data: DataTriple, eps: float = 0.0) -> np.ndarray
 
     Uses central differences in time, the stored pressure (plus any linear
     pressure part x . a(t)), and the trajectory's own velocity samples.
+    The trajectory must carry its pressures (see with_pressures); without
+    them the defect would silently leave out grad p.
     """
     if len(traj) < 3:
         raise ValueError("residual needs at least three time samples")
+    if not traj.pressures:
+        raise ValueError("residual needs the trajectory's pressures; "
+                         "see with_pressures")
     grid = traj.grid
     out = np.zeros(len(traj) - 2)
     for j in range(1, len(traj) - 1):
@@ -355,8 +370,7 @@ def residual(traj: Trajectory, data: DataTriple, eps: float = 0.0) -> np.ndarray
         )
         if eps:
             defect += eps * sp.laplacian(sp.laplacian(u)).coeffs
-        if traj.pressures:
-            defect += sp.gradient(traj.pressures[j]).coeffs
+        defect += sp.gradient(traj.pressures[j]).coeffs
         if data.f:
             defect -= sp.dealias(data.f_at(traj.times[j] - traj.times[0])).coeffs
         res_field = VectorField(grid, defect)
@@ -390,7 +404,7 @@ def continue_max(data: DataTriple, cfg: SolverConfig):
     u = sp.dealias(data.u0)
     all_times = [0.0]
     all_states = [u]
-    all_press = [normalised_pressure(u, data.f_at(0.0) if data.f else None)]
+    all_press = [normalised_pressure(u, _f_sample(data, 0.0))]
     diags = []
     h1 = _h1_of(u)
     while t < data.T - 1e-12 * data.T:
@@ -406,7 +420,7 @@ def continue_max(data: DataTriple, cfg: SolverConfig):
             DataTriple(u, data.f, data.T), t, T_w,
             n_f=_steps_for(T_w, cfg.dt) + 1,
         )
-        traj = evolve(window, cfg)
+        traj = with_pressures(evolve(window, cfg), window)
         all_times.extend(t + traj.times[1:])
         all_states.extend(traj.velocities[1:])
         all_press.extend(traj.pressures[1:])
@@ -447,7 +461,7 @@ def _merge_diags(all_times, diags):
     if not diags:
         return None
     cols = {}
-    for name in ("t", "energy", "grad_sq", "lap_sq", "enstrophy", "sup", "f_inner"):
+    for name in ("t", "energy", "grad_sq", "lap_sq", "enstrophy", "f_inner"):
         parts = []
         offset = 0.0
         for d in diags:

@@ -3,7 +3,8 @@
 Sobolev norms use the Fourier definition on the integer wavenumber lattice,
 with weights (1 + |k|^2)^s (inhomogeneous) or |k|^{2s} (homogeneous), scaled
 so that s = 0 matches the quadrature L^2 norm.  Mixed time norms use composite
-trapezoid quadrature on the trajectory's own sample times.
+trapezoid quadrature on the trajectory's own sample times; the cumulative
+trapezoid and Simpson integrals over those times live here as well.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
     "energy",
     "enstrophy",
     "h1_data_norm",
+    "cumulative_trapezoid",
+    "cumulative_simpson",
 ]
 
 DIV_TOL = 1e-12
@@ -85,18 +88,24 @@ class DataTriple:
 
 @dataclass
 class DiagnosticsTable:
-    """Scalar diagnostics, one row per stored step of the solver."""
+    """Scalar diagnostics, one row per stored step of the solver.
+
+    Every column is a sum over the stored coefficients, so a row costs no
+    transform; the oversampled sup norm is left to the readers that need
+    it (total_speed, enstrophy_localisation, the solve experiment's CSV).
+    """
 
     t: np.ndarray
     energy: np.ndarray       # (1/2) ||u||_L2^2
     grad_sq: np.ndarray      # ||grad u||_L2^2
     lap_sq: np.ndarray       # ||Delta u||_L2^2 (hyperdissipation budget)
     enstrophy: np.ndarray    # (1/2) ||curl u||_L2^2
-    sup: np.ndarray          # oversampled ||u||_inf
     f_inner: np.ndarray      # <u, f>_L2
 
-    def to_csv(self, path, residual=None):
-        cols = [self.t, self.energy, self.enstrophy, self.sup]
+    def to_csv(self, path, sup, residual=None):
+        """Write t, energy, enstrophy, the given sup-norm profile and, when
+        given, the residual (NaN where it has no value)."""
+        cols = [self.t, self.energy, self.enstrophy, sup]
         header = "t,energy,enstrophy,sup_norm"
         if residual is not None:
             res = np.full_like(self.t, np.nan)
@@ -112,9 +121,12 @@ class Trajectory:
     """Stored (velocity, pressure) samples plus their diagnostics.
 
     ``times`` are the stored sample times (strictly increasing, starting at
-    the initial time).  ``pressure_linear``, when present, is a per-time
-    constant vector a(t) representing a non-periodic pressure part x . a(t)
-    introduced by Galilean-type symmetries.
+    the initial time).  ``pressures`` is empty or holds one pressure per
+    stored time; the solver leaves it empty, and solver.with_pressures
+    fills it for the reader that needs it, solver.residual.
+    ``pressure_linear``, when present, is a per-time constant vector a(t)
+    representing a non-periodic pressure part x . a(t) introduced by
+    Galilean-type symmetries.
     """
 
     times: np.ndarray
@@ -253,3 +265,56 @@ def h1_data_norm(data: DataTriple, integrated: bool = False) -> float:
             return u0_part
         return u0_part + float(np.trapezoid(prof, times))
     return u0_part + float(np.max(prof))
+
+
+def _widths(t, ndim):
+    """The intervals of the sample times t, shaped to broadcast along axis 0
+    of an ndim-dimensional profile."""
+    d = np.diff(np.asarray(t, dtype=float))
+    return d.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def cumulative_trapezoid(y, t) -> np.ndarray:
+    """Cumulative trapezoid integrals of y over the sample times t, along
+    axis 0 and starting from 0; the arithmetic of scipy.integrate's
+    cumulative_trapezoid(y, t, axis=0, initial=0)."""
+    y = np.asarray(y, dtype=float)
+    d = _widths(t, y.ndim)
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate((np.zeros((1,) + y.shape[1:]), res))
+
+
+def _simpson_first_halves(y, h):
+    """Simpson integrals over the first interval of each pair of adjacent
+    intervals of widths h[:-1], h[1:]; reversed inputs give the second."""
+    x21 = h[:-1]
+    x32 = h[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def cumulative_simpson(y, t) -> np.ndarray:
+    """Cumulative Simpson integrals of y over the sample times t, along
+    axis 0 and starting from 0, with the unequal-interval formula on each
+    interval; the arithmetic of scipy.integrate's
+    cumulative_simpson(y, x=t, axis=0, initial=0).  Below three samples it
+    is the trapezoid rule."""
+    y = np.asarray(y, dtype=float)
+    if len(y) < 3:
+        return cumulative_trapezoid(y, t)
+    h = _widths(t, y.ndim)
+    first = _simpson_first_halves(y, h)
+    second = _simpson_first_halves(y[::-1], h[::-1])[::-1]
+    sub = np.empty((len(y) - 1,) + y.shape[1:])
+    sub[:-1:2] = first[::2]
+    sub[1::2] = second[::2]
+    # only the second-half formula reaches the last interval
+    sub[-1] = second[-1]
+    res = np.cumsum(sub, axis=0)
+    return np.concatenate((np.zeros((1,) + y.shape[1:]), res))

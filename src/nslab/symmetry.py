@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .spaces import DataTriple, DiagnosticsTable, Trajectory
+from .spaces import (DataTriple, DiagnosticsTable, Trajectory,
+                     cumulative_trapezoid)
 from .spectral import ScalarField, VectorField
 
 __all__ = [
@@ -100,9 +101,7 @@ class _VelocityPath:
             X = np.zeros((1, 3))
             vd = np.zeros((1, 3))
         else:
-            from scipy.integrate import cumulative_trapezoid
-
-            X = cumulative_trapezoid(v, times, axis=0, initial=0.0)
+            X = cumulative_trapezoid(v, times)
             vd = np.gradient(v, times, axis=0)
         if self.v_dot is not None:
             if len(self.v_dot) == 1:
@@ -167,7 +166,6 @@ def _scale_diagnostics(d: DiagnosticsTable, lam: float) -> DiagnosticsTable:
         grad_sq=d.grad_sq / lam,
         lap_sq=d.lap_sq / lam**3,
         enstrophy=d.enstrophy / lam,
-        sup=d.sup / lam,
         f_inner=d.f_inner / lam,
     )
 
@@ -264,8 +262,7 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
             m = diag.t >= tr.t0 - 1e-12 * max(T, 1.0)
             diag = DiagnosticsTable(
                 diag.t[m] - tr.t0, diag.energy[m], diag.grad_sq[m],
-                diag.lap_sq[m], diag.enstrophy[m], diag.sup[m],
-                diag.f_inner[m],
+                diag.lap_sq[m], diag.enstrophy[m], diag.f_inner[m],
             )
         return Trajectory(
             traj.times[idx] - tr.t0,
@@ -339,8 +336,6 @@ def mean_zero_normalize(data: DataTriple):
     Returns the transformed data together with the velocity path v(t)
     used, sampled on the forcing time grid (or [0, T] when unforced).
     """
-    from scipy.integrate import cumulative_trapezoid
-
     m0 = np.real(data.u0.mean())
     times = data.f_times() if len(data.f) >= 2 else np.array([0.0, data.T])
     if data.f:
@@ -349,9 +344,7 @@ def mean_zero_normalize(data: DataTriple):
             f_means = np.repeat(f_means, 2, axis=0)
     else:
         f_means = np.zeros((len(times), 3))
-    v = -m0[np.newaxis, :] - cumulative_trapezoid(
-        f_means, times, axis=0, initial=0.0
-    )
+    v = -m0[np.newaxis, :] - cumulative_trapezoid(f_means, times)
     out = apply(GalileanForced(v, v_dot=-f_means), data)
     return out, v
 

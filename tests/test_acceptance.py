@@ -18,7 +18,8 @@ from nslab.divfree import AnnulusSpec, localize_divfree, spectral_sampler, \
     to_torus_field
 from nslab.estimates import total_speed
 from nslab.lp import covering_bands, lp_project
-from nslab.solver import SolverConfig, evolve, picard_solve, residual
+from nslab.solver import (SolverConfig, evolve, picard_solve, residual,
+                          with_pressures)
 from nslab.spaces import DataTriple, h1_data_norm, sobolev_norm, xs_distance
 from nslab.symmetry import Scale, apply
 
@@ -103,7 +104,8 @@ def test_exact_solutions_and_time_convergence(grid32):
     tg[0] = np.sin(tau * x) * np.cos(tau * y)
     tg[1] = -np.cos(tau * x) * np.sin(tau * y)
     data = DataTriple(sp.vector_from_samples(grid32, tg), [], 1.0)
-    traj = evolve(data, SolverConfig(dt=1e-3, store_every=100))
+    traj = with_pressures(evolve(data, SolverConfig(dt=1e-3, store_every=100)),
+                          data)
     tg_err = float(np.max(np.abs(
         np.real(traj.velocities[-1].samples()) - tg * np.exp(-2.0 * tau**2))))
     p_exact = 0.25 * (np.cos(2.0 * tau * x) + np.cos(2.0 * tau * y)) \
@@ -120,7 +122,8 @@ def test_exact_solutions_and_time_convergence(grid32):
     res = []
     for dt in dts:
         d = DataTriple(sp.vector_from_samples(wide, u0), [], 0.1)
-        res.append(float(np.max(residual(evolve(d, SolverConfig(dt=dt)), d))))
+        traj = with_pressures(evolve(d, SolverConfig(dt=dt)), d)
+        res.append(float(np.max(residual(traj, d))))
     slope = float(np.polyfit(np.log(dts), np.log(res), 1)[0])
 
     elapsed = time.time() - t0

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from nslab import cli, packet
+from nslab import cli, packet, solver
 from nslab import spectral as sp
 from nslab.cli import (
     ConfigError,
@@ -201,6 +201,35 @@ def test_rerun_is_byte_identical(tmp_path):
     run(cfg, outdir=str(b))
     assert (a / "diagnostics.csv").read_bytes() \
         == (b / "diagnostics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment, sups, pressures", [
+    ("energy-budget", 0, 0),
+    ("total-speed", 11, 0),
+    ("solve", 11, 11),
+])
+def test_runs_make_only_the_sup_norms_and_pressures_they_read(
+        tmp_path, monkeypatch, experiment, sups, pressures):
+    # the energy budget reads neither, the total speed only the sup norm
+    # of each of the 11 stored states, the solve's CSV and residual both
+    calls = {"sup": 0, "pressure": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sp, "sup_norm", counted("sup", sp.sup_norm))
+    monkeypatch.setattr(solver, "normalised_pressure",
+                        counted("pressure", solver.normalised_pressure))
+    text = SOLVE_CFG.replace("experiment = solve",
+                             f"experiment = {experiment}").replace(
+        "solver.T = 0.01", "solver.T = 0.0025")
+    _, code = run(parse_config(write_cfg(tmp_path, text)),
+                  outdir=str(tmp_path / "out"))
+    assert code == 0
+    assert calls == {"sup": sups, "pressure": pressures}
 
 
 def test_failed_verdict_exits_one(tmp_path):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
+from nslab import divfree
 from nslab import spectral as sp
 from nslab.divfree import (
     AnnulusSpec,
@@ -187,3 +189,88 @@ def test_torus_realisation_interpolates_the_annulus_field(localized):
     expect = sph.evaluate(nodes).T.reshape((3,) + grid.shape)
     got = np.real(back.samples())
     assert np.max(np.abs(got - expect)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the harmonics sweep against one sph_harm_y call per (l, m)
+
+
+def per_pair_tables(pairs, theta, phi):
+    """Y_lm and the ladder term A_lm Y_{l-1,m} of each pair, one
+    sph_harm_y call per (l, m); the reference for the single sweep."""
+    table = {(l, m): sph_harm_y(l, m, theta, phi) for l, m in pairs}
+    ladder = []
+    for l, m in pairs:
+        A = np.sqrt((2.0 * l + 1.0) / max(2.0 * l - 1.0, 1.0)
+                    * (l * l - m * m))
+        ladder.append(A * table.get((l - 1, m),
+                                    np.zeros(len(theta), dtype=complex)))
+    return np.array([table[p] for p in pairs]), np.array(ladder)
+
+
+def per_pair_synthesis(sph, points):
+    """SphericalField.evaluate at points inside the annulus, summed pair by
+    pair from per-(l, m) harmonics."""
+    p = points - sph.center
+    rl = np.clip(np.linalg.norm(p, axis=1), sph.r_nodes[0], sph.r_nodes[-1])
+    theta = np.arccos(np.clip(p[:, 2] / rl, -1.0, 1.0))
+    phi = np.arctan2(p[:, 1], p[:, 0])
+    a_q, B_q, C_q = (divfree._barycentric_interp(sph.r_nodes, c, rl)
+                     for c in (sph.a, sph.B, sph.C))
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sin_safe = np.where(sin_t > 1e-12, sin_t, 1.0)
+    Y, ladder = per_pair_tables(sph.basis.pairs, theta, phi)
+    u = np.zeros((3, len(p)), dtype=complex)
+    for i, (l, m) in enumerate(sph.basis.pairs):
+        dY = (l * cos_t * Y[i] - ladder[i]) / sin_safe
+        mY = 1j * m * Y[i] / sin_safe
+        u[0] += a_q[:, i] * Y[i]
+        u[1] += B_q[:, i] * dY - C_q[:, i] * mY
+        u[2] += B_q[:, i] * mY + C_q[:, i] * dY
+    frames = (
+        np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t]),
+        np.column_stack([cos_t * np.cos(phi), cos_t * np.sin(phi), -sin_t]),
+        np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)]),
+    )
+    return (np.real(u[0])[:, np.newaxis] * frames[0]
+            + np.real(u[1])[:, np.newaxis] * frames[1]
+            + np.real(u[2])[:, np.newaxis] * frames[2])
+
+
+@pytest.mark.parametrize("l_max", [8, 24, 32])
+def test_harmonics_sweep_matches_per_pair_calls_bit_for_bit(l_max):
+    basis = divfree._SphereBasis(l_max, l_max + 1, 2 * l_max + 2)
+    rng = np.random.default_rng(l_max)
+    # the poles, the equator and random directions
+    theta = np.concatenate([[0.0, np.pi, np.pi / 2], rng.uniform(0, np.pi, 40)])
+    phi = np.concatenate([[0.0, 1.0, -2.5], rng.uniform(-np.pi, np.pi, 40)])
+    ls, ms, Y, ladder = divfree._harmonics(l_max, theta, phi)
+    assert list(zip(ls.tolist(), ms.tolist())) == basis.pairs
+    Y_ref, ladder_ref = per_pair_tables(basis.pairs, theta, phi)
+    assert Y.tobytes() == Y_ref.tobytes()
+    assert ladder.tobytes() == ladder_ref.tobytes()
+    # the analysis tables of the basis, at phi = 0
+    Y0, ladder0 = per_pair_tables(basis.pairs, basis.theta, 0.0)
+    sin_t, cos_t = np.sin(basis.theta), np.cos(basis.theta)
+    dY0 = np.array([(l * cos_t * Y0[i] - ladder0[i]) / sin_t
+                    for i, (l, m) in enumerate(basis.pairs)])
+    mY0 = np.array([1j * m * Y0[i] / sin_t
+                    for i, (l, m) in enumerate(basis.pairs)])
+    assert basis.Y0_conj.tobytes() == np.conj(Y0).tobytes()
+    assert basis.dY0_conj.tobytes() == np.conj(dY0).tobytes()
+    assert basis.mY0_conj.tobytes() == np.conj(mY0).tobytes()
+
+
+def test_chunked_synthesis_matches_the_per_pair_sum_bit_for_bit(
+        localized, monkeypatch):
+    _, sph = localized
+    rng = np.random.default_rng(3)
+    dirs = rng.standard_normal((150, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # both poles, then random points across the whole annulus
+    dirs[:2] = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    pts = np.asarray(CENTER) + dirs * rng.uniform(SPEC.R1, SPEC.R4, (150, 1))
+    expect = per_pair_synthesis(sph, pts)
+    for chunk in (divfree._EVAL_CHUNK, 64, 7):
+        monkeypatch.setattr(divfree, "_EVAL_CHUNK", chunk)
+        assert sph.evaluate(pts).tobytes() == expect.tobytes()

@@ -115,7 +115,7 @@ def test_samples_on_the_support_box_match_the_full_grid(center):
     raw /= np.sum(raw, dtype=np.float64) * grid.cell_volume
     assert np.array_equal(packet._bump_samples(grid, center, 0.7), raw)
     spec = WavePacketSpec(n=3, x0=center)
-    full = spec.chi(rad) * np.sin(
+    full = radial_bump(rad, flat=0.0) * np.sin(
         spec.n * sum(x * d for x, d in zip(spec.xi, dx)))
     assert np.array_equal(packet._stream_samples(spec, grid), full)
 

@@ -15,13 +15,14 @@ from nslab.solver import (
     normalised_pressure,
     picard_solve,
     residual,
+    with_pressures,
     _diag_row,
     _nonlinear,
 )
 from nslab import solver
-from nslab.spaces import DataTriple, xs_distance
+from nslab.spaces import DataTriple, Trajectory, xs_distance
 
-from conftest import random_divfree
+from conftest import random_divfree, random_vector
 
 
 def shear_data(grid, amp=1.0, T=0.01):
@@ -266,7 +267,7 @@ def test_planar_vortex_array_decays_exactly(grid16):
 
 def test_planar_vortex_array_pressure_closed_form(grid16):
     data = taylor_green_data(grid16, amp=0.9, T=0.02)
-    traj = evolve(data, SolverConfig(dt=1e-3))
+    traj = with_pressures(evolve(data, SolverConfig(dt=1e-3)), data)
     tau = 2.0 * np.pi
     t = traj.times[-1]
     x, y, _ = grid16.nodes()
@@ -288,8 +289,10 @@ def test_store_every_subsamples_but_keeps_endpoint(grid8):
     assert np.isclose(traj.times[-1], 0.01)
     assert np.allclose(np.diff(traj.times)[:-1], 3e-3)
     # steps 0, 3, 6, 9 and the endpoint 10: nothing between is kept
-    assert len(traj.velocities) == len(traj.pressures) == 5
-    assert len(traj.diagnostics.t) == 5
+    assert len(traj.velocities) == len(traj.diagnostics.t) == 5
+    # and the solver makes no pressure; with_pressures makes one per state
+    assert traj.pressures == []
+    assert len(with_pressures(traj, data).pressures) == 5
 
 
 def test_energy_decreases_without_forcing(short_run):
@@ -317,8 +320,6 @@ def test_residual_is_small_on_a_solver_run(short_run):
 
 
 def test_residual_needs_three_samples(grid8):
-    from nslab.spaces import Trajectory
-
     u = random_divfree(grid8, seed=10, kmax=2)
     data = DataTriple(u, [], 1.0)
     traj = Trajectory(np.array([0.0, 0.1]), [u, u], [])
@@ -326,11 +327,39 @@ def test_residual_needs_three_samples(grid8):
         residual(traj, data)
 
 
+def test_residual_needs_the_pressures(short_run):
+    # without them the defect would silently leave out grad p
+    data, _, traj = short_run
+    stripped = Trajectory(traj.times, list(traj.velocities), [],
+                          diagnostics=traj.diagnostics, meta=traj.meta)
+    with pytest.raises(ValueError, match="pressures"):
+        residual(stripped, data)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_normalised_pressure_has_an_exactly_zero_mean(grid16, forced):
+    # a mean flow and a forcing with a mean give every product and the
+    # forcing a nonzero (0,0,0) mode; the pressure must still have none
+    u = random_divfree(grid16, seed=18, kmax=3)
+    c = u.coeffs.copy()
+    c[:, 0, 0, 0] = (0.3, -0.2, 0.1)
+    u = sp.vector_from_coeffs(grid16, c)
+    f = None
+    if forced:
+        f = random_vector(grid16, seed=19, kmax=3)
+        c = f.coeffs.copy()
+        c[:, 0, 0, 0] = (0.5, 0.25, -0.4)
+        f = sp.vector_from_coeffs(grid16, c)
+    p = normalised_pressure(u, f)
+    assert np.max(np.abs(p.coeffs)) > 0.0
+    assert p.coeffs[0, 0, 0] == 0.0
+
+
 def test_residual_shrinks_with_dt(grid16):
     data = taylor_green_data(grid16, amp=0.5, T=0.01)
     res = {}
     for dt in (2e-3, 1e-3):
-        traj = evolve(data, SolverConfig(dt=dt))
+        traj = with_pressures(evolve(data, SolverConfig(dt=dt)), data)
         res[dt] = float(np.max(residual(traj, data)))
     # the probe is second order, so halving dt should cut it near 4x
     assert res[1e-3] < 0.4 * res[2e-3]
@@ -352,23 +381,24 @@ def test_picard_matches_evolve_for_small_data(grid16):
 
 
 def test_picard_diagnoses_only_the_returned_states(grid16, monkeypatch):
-    calls = {"sup": 0, "pressure": 0}
-    sup_norm, pressure = sp.sup_norm, solver.normalised_pressure
+    calls = {"row": 0, "sup": 0, "pressure": 0}
 
-    def counted_sup(*args, **kwargs):
-        calls["sup"] += 1
-        return sup_norm(*args, **kwargs)
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counted_pressure(*args, **kwargs):
-        calls["pressure"] += 1
-        return pressure(*args, **kwargs)
-
-    monkeypatch.setattr(sp, "sup_norm", counted_sup)
-    monkeypatch.setattr(solver, "normalised_pressure", counted_pressure)
+    monkeypatch.setattr(solver, "_diag_row", counted("row", _diag_row))
+    monkeypatch.setattr(sp, "sup_norm", counted("sup", sp.sup_norm))
+    monkeypatch.setattr(solver, "normalised_pressure",
+                        counted("pressure", normalised_pressure))
     u = random_divfree(grid16, seed=11, kmax=2, amplitude=0.2)
     traj = picard_solve(DataTriple(u, [], 0.005), SolverConfig(dt=5e-4))
     assert traj.meta["picard_iterations"] >= 2
-    assert calls == {"sup": len(traj.times), "pressure": len(traj.times)}
+    # a row for each returned state; the sup norm and the pressures are
+    # left to the readers that need them
+    assert calls == {"row": len(traj.times), "sup": 0, "pressure": 0}
 
 
 def test_picard_store_every_subsamples_the_fixed_point_bit_for_bit(grid16):
@@ -387,12 +417,13 @@ def test_picard_store_every_subsamples_the_fixed_point_bit_for_bit(grid16):
                               dense.velocities[n].coeffs)
     d = sparse.diagnostics
     assert np.array_equal(d.t, sparse.times)
+    pressures = with_pressures(sparse, data).pressures
     for j, (t, v) in enumerate(zip(sparse.times, sparse.velocities)):
         f = data.f_at(t)
         row = (d.energy[j], d.grad_sq[j], d.lap_sq[j], d.enstrophy[j],
-               d.sup[j], d.f_inner[j])
+               d.f_inner[j])
         assert row == _diag_row(v, f)
-        assert np.array_equal(sparse.pressures[j].coeffs,
+        assert np.array_equal(pressures[j].coeffs,
                               normalised_pressure(v, f).coeffs)
 
 

@@ -1,8 +1,12 @@
 """Static checks of the package source, in place of a linter: every name
-a module lists in ``__all__`` exists, and every name it imports is used."""
+a module lists in ``__all__`` exists, every name it imports is used, and
+the command line loads no package it does not need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,3 +78,14 @@ def test_every_import_is_used(path):
     unused = [f"line {line}: {name}" for line, name in _imports(path)
               if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_the_command_line_loads_no_quadrature_package():
+    # scipy.integrate would bring scipy.optimize, sparse.linalg and spatial
+    # into every run, for two cumulative quadratures that spaces provides
+    code = ("import sys, nslab.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

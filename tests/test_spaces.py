@@ -9,6 +9,8 @@ from nslab import spectral as sp
 from nslab.spaces import (
     DataTriple,
     Trajectory,
+    cumulative_simpson,
+    cumulative_trapezoid,
     energy,
     enstrophy,
     h1_data_norm,
@@ -158,6 +160,34 @@ def test_xs_distance_needs_matching_time_grids(grid8):
     b = make_traj(grid8, n=5)
     with pytest.raises(ValueError):
         xs_distance(a, b)
+
+
+# ---------------------------------------------------------------------------
+# cumulative quadrature in time
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 50])
+@pytest.mark.parametrize("spacing", ["equal", "unequal"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "n-by-3"])
+def test_cumulative_quadratures_match_scipy_bit_for_bit(n, spacing, shape):
+    # the helpers replace scipy.integrate at run time; the tests may load it
+    import scipy.integrate
+
+    rng = np.random.default_rng(n + 7 * len(shape))
+    y = rng.standard_normal((n,) + shape)
+    if spacing == "equal":
+        t = np.linspace(0.0, 0.37, n)
+    else:
+        t = np.cumsum(rng.uniform(0.01, 1.0, n))
+    cases = (
+        (cumulative_trapezoid(y, t),
+         scipy.integrate.cumulative_trapezoid(y, t, axis=0, initial=0.0)),
+        (cumulative_simpson(y, t),
+         scipy.integrate.cumulative_simpson(y, x=t, axis=0, initial=0.0)),
+    )
+    for got, expect in cases:
+        assert got.shape == expect.shape == y.shape
+        assert got.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nslab import spectral as sp
 from nslab.estimates import energy_budget
-from nslab.solver import SolverConfig, evolve, residual
+from nslab.solver import SolverConfig, evolve, residual, with_pressures
 from nslab.spaces import DataTriple, Trajectory, energy
 from nslab.symmetry import (
     Forcing,
@@ -114,7 +114,7 @@ def test_scale_round_trips(grid16):
 
 def small_traj(grid, seed=6, T=0.01, dt=1e-3):
     data = DataTriple(random_divfree(grid, seed=seed, kmax=3), [], T)
-    return data, evolve(data, SolverConfig(dt=dt))
+    return data, with_pressures(evolve(data, SolverConfig(dt=dt)), data)
 
 
 def test_time_translate_rejects_data(grid16):
