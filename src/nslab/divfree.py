@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 from scipy.special import sph_harm_y_all
 
 from . import spectral as sp
@@ -31,7 +30,6 @@ __all__ = [
     "flux_check",
     "localize_divfree",
     "spectral_sampler",
-    "torus_sampler",
     "to_torus_field",
 ]
 
@@ -393,8 +391,7 @@ def spectral_sampler(u: VectorField) -> Callable:
     """Exact point evaluator that sums the Fourier series of u directly.
 
     Modes below 1e-14 of the largest coefficient are skipped, so the cost
-    scales with the number of live modes; use torus_sampler when O(h^2)
-    interpolation accuracy is enough.
+    scales with the number of live modes.
     """
     grid = u.grid
     kx, ky, kz = grid.wavenumbers()
@@ -412,38 +409,6 @@ def spectral_sampler(u: VectorField) -> Callable:
         for s in range(0, len(pts), 256):
             ph = np.exp((2.0j * np.pi / grid.L) * (pts[s:s + 256] @ kvec.T))
             out[s:s + 256] = np.real(ph @ cmat.T)
-        return out
-
-    return sample
-
-
-def torus_sampler(u: VectorField, oversample: int = 4) -> Callable:
-    """Point evaluator for a periodic field by trilinear interpolation on
-    an oversampled grid (accuracy O(h^2) in the fine spacing)."""
-    grid = u.grid
-    M = grid.N * oversample
-    fine = scipy.fft.irfftn(sp._oversampled_half(u.coeffs, grid.N, M),
-                            s=(M, M, M), axes=(1, 2, 3), norm="forward")
-    h = grid.L / M
-
-    def sample(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float)) % grid.L
-        idx = pts / h
-        i0 = np.floor(idx).astype(int) % M
-        frac = idx - np.floor(idx)
-        out = np.zeros((len(pts), 3))
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    wgt = (
-                        (frac[:, 0] if dx else 1 - frac[:, 0])
-                        * (frac[:, 1] if dy else 1 - frac[:, 1])
-                        * (frac[:, 2] if dz else 1 - frac[:, 2])
-                    )
-                    out += wgt[:, np.newaxis] * fine[
-                        :, (i0[:, 0] + dx) % M, (i0[:, 1] + dy) % M,
-                        (i0[:, 2] + dz) % M
-                    ].T
         return out
 
     return sample

@@ -186,19 +186,15 @@ def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
 
 
 def _spatial_norm(spec) -> Callable:
-    if callable(spec):
-        return spec
     if spec == "L2":
         return sp.l2_norm
-    if spec == "Linf":
-        return sp.sup_norm
     if isinstance(spec, tuple) and spec[0] == "H":
         s = spec[1]
         return lambda f: sobolev_norm(f, s)
     raise ValueError(f"unknown spatial norm spec {spec!r}")
 
 
-def mixed_norm(traj: Trajectory, p_time, spatial, name: str = "") -> NormReport:
+def mixed_norm(traj: Trajectory, p_time, spatial) -> NormReport:
     """L^p_t X_x norm over the trajectory's stored samples.
 
     Composite trapezoid in time for finite p; max over samples for p = inf.
@@ -213,18 +209,18 @@ def mixed_norm(traj: Trajectory, p_time, spatial, name: str = "") -> NormReport:
         value = float(
             np.trapezoid(profile**p_time, traj.times) ** (1.0 / p_time)
         )
-    return NormReport(name or f"L{p_time}_t", value, profile)
+    return NormReport(f"L{p_time}_t", value, profile)
 
 
-def xs_norm(traj: Trajectory, s: float, name: str = "") -> NormReport:
+def xs_norm(traj: Trajectory, s: float) -> NormReport:
     """Hybrid norm: L^inf_t H^s + L^2_t H^{s+1}."""
     sup_part = mixed_norm(traj, np.inf, ("H", s))
     l2_part = mixed_norm(traj, 2, ("H", s + 1))
-    return NormReport(name or f"X^{s}", sup_part.value + l2_part.value)
+    return NormReport(f"X^{s}", sup_part.value + l2_part.value)
 
 
-def xs_distance(traj_a: Trajectory, traj_b: Trajectory, s: float = 1.0) -> float:
-    """X^s distance between two trajectories on the same time grid."""
+def xs_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
+    """X^1 distance between two trajectories on the same time grid."""
     if len(traj_a) != len(traj_b):
         raise ValueError("trajectories must share a time grid")
     diffs = [
@@ -232,7 +228,7 @@ def xs_distance(traj_a: Trajectory, traj_b: Trajectory, s: float = 1.0) -> float
         for ua, ub in zip(traj_a.velocities, traj_b.velocities)
     ]
     dtraj = Trajectory(traj_a.times, diffs, [])
-    return xs_norm(dtraj, s).value
+    return xs_norm(dtraj, 1.0).value
 
 
 def energy(data: DataTriple) -> float:

@@ -423,48 +423,86 @@ def _magnitude(f, s):
     return np.abs(s)
 
 
-def _oversampled_half(half, N, M):
-    """Zero-pad a half spectrum (..., N, N, N/2+1) to the half spectrum
-    (..., M, M, M/2+1) of M > N points per axis.
+def _padded_along_x(c, N, M):
+    """The part of one component's spectrum, zero-padded from N to M > N
+    points per axis, that holds modes: the (M, N+1, N/2+1) block of padded
+    x rows, ky rows 0..N/2 then N/2..N-1, and kz = 0..N/2.
 
     The +N/2 coefficient of each axis is shared evenly between the +-N/2
     bins of the padded spectrum so that Hermitian symmetry is preserved;
-    on the last axis only the +N/2 bin lies in the padded half.  The
+    along ky both bins are in the block, as its rows N/2 and N/2+1, and on
+    the last axis only the +N/2 bin lies in the padded half.  The
     self-conjugate planes kz = 0 and kz = N/2 are padded as the Hermitian
     parts that ``irfftn`` sees of them at N points; the second becomes an
     interior plane, where any other part would show.
     """
     h = N // 2
-    planes = half[..., ::h]
+    planes = c[:, :, ::h]
     herm = np.empty_like(planes)
     _conj_negated(planes, herm, ((slice(None), slice(None)),))
     herm += planes
     herm *= 0.5
-    out = np.zeros(half.shape[:-3] + (M, M, M // 2 + 1), dtype=complex)
-    blocks = ((slice(0, h + 1), slice(0, h + 1)), (slice(M - h, M), slice(h, N)))
-    for dx, sx in blocks:
-        for dy, sy in blocks:
-            out[..., dx, dy, 1:h] = half[..., sx, sy, 1:h]
-            out[..., dx, dy, : h + 1 : h] = herm[..., sx, sy, :]
+    out = np.zeros((M, N + 1, h + 1), dtype=complex)
+    xs = ((slice(0, h + 1), slice(0, h + 1)), (slice(M - h, M), slice(h, N)))
+    ys = ((slice(0, h + 1), slice(0, h + 1)), (slice(h + 1, N + 1), slice(h, N)))
+    for dx, sx in xs:
+        for dy, sy in ys:
+            out[dx, dy, 1:h] = c[sx, sy, 1:h]
+            out[dx, dy, ::h] = herm[sx, sy, :]
     for nyq in (h, M - h):
-        out[..., nyq, :, :] *= 0.5
-        out[..., :, nyq, :] *= 0.5
-    out[..., :, :, h] *= 0.5
+        out[nyq, :, :] *= 0.5
+    out[:, h : h + 2, :] *= 0.5
+    out[:, :, h] *= 0.5
     return out
 
 
-def sup_norm(f, factor=2):
-    """Sup norm evaluated on a factor-times oversampled physical grid."""
-    grid = f.grid
-    M = factor * grid.N
-    over = _oversampled_half(f.coeffs, grid.N, M)
-    s = scipy.fft.irfftn(over, s=(M, M, M), axes=(-3, -2, -1))
+def _oversampled_samples(c, N, M):
+    """Samples on M^3 points of one component's half spectrum c, zero-padded
+    from N points per axis, as irfftn(padded, s=(M, M, M)) * M**3 gives them.
+
+    The inverse runs one axis at a time and skips the lines that hold only
+    padding: along x on the block of _padded_along_x, along y on the planes
+    kz <= N/2, then the real transform along z.  irfftn does the same
+    one-axis transforms on every line, so the samples keep its bits; its
+    1/M^3 is pocketfft's long-double factor, applied before the M^3.
+    """
+    h = N // 2
+    rows = scipy.fft.ifftn(_padded_along_x(c, N, M), axes=(0,), norm="forward")
+    out = np.zeros((M, M, M // 2 + 1), dtype=complex)
+    out[:, : h + 1, : h + 1] = rows[:, : h + 1]
+    out[:, M - h :, : h + 1] = rows[:, h + 1 :]
+    del rows
+    out[:, :, : h + 1] = scipy.fft.ifftn(out[:, :, : h + 1], axes=(1,),
+                                         norm="forward")
+    s = scipy.fft.irfftn(out, s=(M,), axes=(-1,), norm="forward")
+    s *= float(1 / np.longdouble(M**3))
     s *= M**3
-    if isinstance(f, VectorField):
-        # sqrt is monotone and correctly rounded, so taking it after the
-        # max gives the same value as the max of the pointwise lengths
-        return float(np.sqrt(np.max(np.sum(s * s, axis=0))))
-    return float(np.max(np.abs(s)))
+    return s
+
+
+def sup_norm(f, factor=2):
+    """Sup norm evaluated on a factor-times oversampled physical grid.
+
+    One component at a time is padded and inverted, one axis at a time
+    (_oversampled_samples); a vector field keeps only the running sum of
+    squared components between them.  The value keeps the bits of the full
+    padded irfftn, both scalings included: sqrt is monotone and correctly
+    rounded, so taking it after the max gives the max of the pointwise
+    lengths.
+    """
+    N = f.grid.N
+    M = factor * N
+    if isinstance(f, ScalarField):
+        return float(np.max(np.abs(_oversampled_samples(f.coeffs, N, M))))
+    total = None
+    for c in f.coeffs:
+        s = _oversampled_samples(c, N, M)
+        s *= s
+        if total is None:
+            total = s
+        else:
+            total += s
+    return float(np.sqrt(np.max(total)))
 
 
 # --- field dump format -------------------------------------------------------

@@ -12,7 +12,6 @@ from nslab.divfree import (
     localize_divfree,
     spectral_sampler,
     to_torus_field,
-    torus_sampler,
 )
 from nslab.spaces import sobolev_norm
 
@@ -75,25 +74,6 @@ def test_spectral_sampler_is_periodic(grid16):
     sampler = spectral_sampler(u)
     pts = np.array([[0.13, 0.57, 0.91]])
     assert np.max(np.abs(sampler(pts) - sampler(pts + grid16.L))) < 1e-12
-
-
-def test_torus_sampler_approximates_the_spectral_one(grid16):
-    u = smooth_field(grid16, seed=3)
-    exact = spectral_sampler(u)
-    approx = torus_sampler(u, oversample=8)
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0.0, 1.0, size=(100, 3))
-    err = np.max(np.abs(exact(pts) - approx(pts)))
-    scale = np.max(np.abs(exact(pts)))
-    assert err < 5e-3 * scale
-
-
-def test_torus_sampler_reproduces_grid_nodes(grid16):
-    u = random_vector(grid16, seed=5, kmax=grid16.N)
-    nodes = np.stack(grid16.nodes(), axis=-1).reshape(-1, 3)[::7]
-    expect = u.samples().reshape(3, -1).T[::7]
-    got = torus_sampler(u, oversample=2)(nodes)
-    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 def test_flux_through_spheres_vanishes_for_divfree_fields(grid16):

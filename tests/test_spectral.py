@@ -2,6 +2,7 @@
 derivatives, and the oversampled sup norm."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,16 +273,76 @@ def test_sup_norm_agrees_with_dense_point_evaluation(grid8):
     assert s <= 1.05 * dense + 1e-12
 
 
-@pytest.mark.parametrize("N", [32, 48])
-def test_sup_norm_equals_the_max_of_the_pointwise_lengths(N):
-    # sup_norm takes one sqrt of the largest squared length; the max of the
-    # pointwise lengths must be the same float
+def _oversampled_half(half, N, M):
+    """Zero-pad a half spectrum (..., N, N, N/2+1) to the half spectrum
+    (..., M, M, M/2+1) of M > N points per axis, whose irfftn the sup norm
+    must reproduce.
+
+    The +N/2 coefficient of each axis is shared evenly between the +-N/2
+    bins of the padded spectrum so that Hermitian symmetry is preserved;
+    on the last axis only the +N/2 bin lies in the padded half.  The
+    self-conjugate planes kz = 0 and kz = N/2 are padded as the Hermitian
+    parts that ``irfftn`` sees of them at N points.
+    """
+    h = N // 2
+    planes = half[..., ::h]
+    herm = np.empty_like(planes)
+    sp._conj_negated(planes, herm, ((slice(None), slice(None)),))
+    herm += planes
+    herm *= 0.5
+    out = np.zeros(half.shape[:-3] + (M, M, M // 2 + 1), dtype=complex)
+    blocks = ((slice(0, h + 1), slice(0, h + 1)), (slice(M - h, M), slice(h, N)))
+    for dx, sx in blocks:
+        for dy, sy in blocks:
+            out[..., dx, dy, 1:h] = half[..., sx, sy, 1:h]
+            out[..., dx, dy, : h + 1 : h] = herm[..., sx, sy, :]
+    for nyq in (h, M - h):
+        out[..., nyq, :, :] *= 0.5
+        out[..., :, nyq, :] *= 0.5
+    out[..., :, :, h] *= 0.5
+    return out
+
+
+# the full padded reference at 256^3 or 384^3 points would take 0.4-1.4 GB
+@pytest.mark.parametrize("kind", ["vector", "scalar"])
+@pytest.mark.parametrize("N,factor", [(N, factor) for N in (8, 16, 32, 48)
+                                      for factor in (2, 3, 8)
+                                      if N * factor <= 144])
+def test_sup_norm_equals_the_max_of_the_pointwise_lengths(N, factor, kind):
+    # sup_norm pads and inverts one axis and one component at a time, then
+    # takes one sqrt of the largest squared length; it must give the max of
+    # the pointwise lengths of the full padded irfftn as the same float.
+    # The random half spectrum has nonzero Nyquist rows and kz = 0 and N/2
+    # planes that are not Hermitian
     grid = sp.make_grid(1.0, N)
-    u = random_vector(grid, seed=N)
-    M = 2 * N
-    s = scipy.fft.irfftn(sp._oversampled_half(u.coeffs, N, M),
+    rng = np.random.default_rng(N * factor)
+    shape = ((3,) if kind == "vector" else ()) + grid.spectral_shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    M = factor * N
+    s = scipy.fft.irfftn(_oversampled_half(c, N, M),
                          s=(M, M, M), axes=(-3, -2, -1)) * M**3
-    assert sp.sup_norm(u) == float(np.max(np.sqrt(np.sum(s * s, axis=0))))
+    if kind == "vector":
+        f = sp.vector_from_coeffs(grid, c)
+        expect = np.max(np.sqrt(np.sum(s * s, axis=0)))
+    else:
+        f = sp.scalar_from_coeffs(grid, c)
+        expect = np.max(np.abs(s))
+    assert sp.sup_norm(f, factor=factor) == float(expect)
+
+
+def test_sup_norm_holds_few_oversampled_temporaries(grid32):
+    # padded and inverted one component at a time, with only the running
+    # sum of squares kept between components, a call holds at most five
+    # arrays the size of the (2N)^3 samples
+    u = random_vector(grid32, seed=32)
+    sp.sup_norm(u)
+    tracemalloc.start()
+    try:
+        sp.sup_norm(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (2 * grid32.N) ** 3 * 8
 
 
 @pytest.mark.parametrize("N", [8, 48])
