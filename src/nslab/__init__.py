@@ -12,7 +12,6 @@ from . import (  # noqa: F401
     bumps,
     divfree,
     estimates,
-    lp,
     packet,
     solver,
     spaces,

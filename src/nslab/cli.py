@@ -116,7 +116,6 @@ _SCHEMA = {
     "solver.picard_tol": float,
     "solver.picard_max_iters": int,
     "solver.smallness_c": float,
-    "solver.blowup_threshold": float,
     "harness.delta": float,
     "harness.c": float,
     "harness.R": float,
@@ -511,23 +510,25 @@ def _write_verdicts(art, verdicts):
             fh.write(v.line() + "\n")
 
 
-def _solve_trajectory(cfg: ExperimentConfig, data):
+def _solve_trajectory(cfg: ExperimentConfig, grid):
+    """(data, trajectory) of the run a config names.  The solver's
+    parameters and method are checked first, so that a bad one is a config
+    error before any data is generated."""
     scfg = _checked(
         cfg, SolverConfig,
         dt=cfg.get("solver.dt"),
         eps=cfg.get("solver.eps"),
         store_every=cfg.get("solver.store_every"),
         **{k: cfg.values["solver." + k]
-           for k in ("picard_tol", "picard_max_iters", "smallness_c",
-                     "blowup_threshold")
+           for k in ("picard_tol", "picard_max_iters", "smallness_c")
            if "solver." + k in cfg.values},
     )
     method = cfg.get("solver.method")
-    if method == "evolve":
-        return evolve(data, scfg)
-    if method == "picard":
-        return picard_solve(data, scfg)
-    raise ConfigError(f"unknown solver method {method!r}")
+    solve = {"evolve": evolve, "picard": picard_solve}.get(method)
+    if solve is None:
+        raise ConfigError(f"unknown solver method {method!r}")
+    data = generate_data(cfg.get("data.kind"), cfg, grid)
+    return data, solve(data, scfg)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +536,7 @@ def _solve_trajectory(cfg: ExperimentConfig, data):
 
 
 def _exp_solve(cfg, art, baselines):
-    grid = _grid(cfg)
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
-    traj = _solve_trajectory(cfg, data)
+    data, traj = _solve_trajectory(cfg, _grid(cfg))
     # the sup profile before the pressures, so that the pressures are not
     # yet held while the sup norm's oversampled temporaries set the peak
     sup = np.array([sp.sup_norm(u) for u in traj.velocities])
@@ -545,7 +544,7 @@ def _exp_solve(cfg, art, baselines):
     res = residual(traj, data, eps=cfg.get("solver.eps"))
     tol = cfg.get("tol.residual")
     traj.diagnostics.to_csv(art.path("diagnostics.csv"), sup, residual=res)
-    sp.write_field(art.path("final_velocity.npz"), traj.velocities[-1],
+    sp.write_field(art.path("final_velocity.field"), traj.velocities[-1],
                    time=traj.times[-1])
     rmax = float(np.max(res)) if len(res) else 0.0
     return [Verdict("residual", rmax <= tol, rmax, tol)]
@@ -561,8 +560,7 @@ def _exp_energy_budget(cfg, art, baselines):
         if region not in ENERGY_REGIONS:
             raise ConfigError(f"{cfg.source}: unknown harness.region {region!r}"
                               f"; choose from {', '.join(ENERGY_REGIONS)}")
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
-    traj = _solve_trajectory(cfg, data)
+    data, traj = _solve_trajectory(cfg, grid)
     verdicts = []
     rep = energy_budget(traj, None, data)
     np.savetxt(art.path("budget_global.csv"),
@@ -581,9 +579,7 @@ def _exp_energy_budget(cfg, art, baselines):
 
 
 def _exp_total_speed(cfg, art, baselines):
-    grid = _grid(cfg)
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
-    traj = _solve_trajectory(cfg, data)
+    data, traj = _solve_trajectory(cfg, _grid(cfg))
     value, ratio = total_speed(traj, data)
     np.savetxt(art.path("total_speed.csv"),
                np.array([[value, ratio]]), delimiter=",",
@@ -600,9 +596,7 @@ def _tag_of(message):
 
 
 def _exp_enstrophy(cfg, art, baselines):
-    grid = _grid(cfg)
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
-    traj = _solve_trajectory(cfg, data)
+    data, traj = _solve_trajectory(cfg, _grid(cfg))
     ball = (cfg.require("harness.x0"), cfg.require("harness.R"))
     try:
         rep = enstrophy_localisation(
@@ -732,8 +726,8 @@ def _exp_homogenize(cfg, art, baselines):
 
 def _exp_symmetry(cfg, art, baselines):
     grid = _grid(cfg)
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
-    traj = with_pressures(_solve_trajectory(cfg, data), data)
+    data, traj = _solve_trajectory(cfg, grid)
+    traj = with_pressures(traj, data)
     eps = cfg.get("solver.eps")
     base = float(np.max(residual(traj, data, eps=eps)))
     L = grid.L

@@ -2,8 +2,8 @@
 
 Implements the localisation machinery: static annulus cutoffs eta^4 for
 local energy budgets, the shrinking Lipschitz cutoff driven by the
-accumulated sup-norm for enstrophy localisation, the bounded-total-speed
-ratio, and the vorticity-equation defect.
+accumulated sup-norm for enstrophy localisation, and the
+bounded-total-speed ratio.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "energy_budget",
     "total_speed",
     "enstrophy_localisation",
-    "vorticity_residual",
 ]
 
 # where energy_budget measures: in B(x0, R-r), or outside B(x0, R+r)
@@ -425,47 +424,3 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
         verdict=bool(np.all(np.diff(radii) <= 1e-15) and
                      tax_violation <= tax_tol),
     )
-
-
-def _advect(vel: VectorField, f: VectorField) -> np.ndarray:
-    """(vel . grad) f, dealiased, on coefficients."""
-    grid = vel.grid
-    vs = np.real(vel.samples())
-    out = np.zeros((3,) + grid.spectral_shape, dtype=complex)
-    for i in range(3):
-        acc = np.zeros(grid.shape)
-        for j in range(3):
-            acc += vs[j] * np.real(sp.derivative(f.component(i), j).samples())
-        out[i] = sp.dealias(sp.scalar_from_samples(grid, acc)).coeffs
-    return out
-
-
-def vorticity_residual(traj: Trajectory, data: Optional[DataTriple] = None,
-                       eps: float = 0.0) -> np.ndarray:
-    """L^2 defect of the vorticity transport-stretching equation at
-    interior stored times."""
-    if len(traj) < 3:
-        raise ValueError("vorticity residual needs at least three samples")
-    data = _data_for(traj, data)
-    grid = traj.grid
-    omegas = [sp.curl(u) for u in traj.velocities]
-    out = np.zeros(len(traj) - 2)
-    for j in range(1, len(traj) - 1):
-        u = traj.velocities[j]
-        om = omegas[j]
-        dtc = traj.times[j + 1] - traj.times[j - 1]
-        dom = (omegas[j + 1].coeffs - omegas[j - 1].coeffs) / dtc
-        defect = (
-            dom
-            + _advect(u, om)
-            - sp.laplacian(om).coeffs
-            - _advect(om, u)
-        )
-        if eps:
-            defect += eps * sp.laplacian(sp.laplacian(om)).coeffs
-        if data.f:
-            defect -= sp.curl(
-                sp.dealias(data.f_at(traj.times[j] - traj.times[0]))
-            ).coeffs
-        out[j - 1] = sp.l2_norm(VectorField(grid, defect))
-    return out

@@ -37,7 +37,6 @@ __all__ = [
     "check_study",
     "growth_study",
     "GrowthTable",
-    "kernel_scan",
 ]
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -366,34 +365,3 @@ def check_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
                                             pairing_grid.N)):
         _check_resolution(template.with_n(doubling_n), grid)
         _check_pairing_box(grid)
-
-
-def kernel_scan(psi: ScalarField, cross, component: int = 0,
-                centers=None) -> list:
-    """Sample the contracted kernel (d_i d_j d_l Lap^{-1} psi) c_i c_j on
-    candidate centers; used to pick a packet center where it is far from
-    zero."""
-    grid = psi.grid
-    cross = np.asarray(cross, dtype=float)
-    inv = sp.inverse_laplacian(psi)
-    kern = np.zeros(grid.shape)
-    kl = sp.derivative(inv, component)
-    for i in range(3):
-        for j in range(3):
-            kij = sp.derivative(sp.derivative(kl, i), j)
-            kern += cross[i] * cross[j] * np.real(kij.samples())
-    if centers is None:
-        step = max(grid.N // 16, 1)
-        idx = range(0, grid.N, step)
-        nodes = grid.nodes()
-        return [
-            ((nodes[0][a, b, c], nodes[1][a, b, c], nodes[2][a, b, c]),
-             float(kern[a, b, c]))
-            for a in idx for b in idx for c in idx
-        ]
-    out = []
-    h = grid.spacing
-    for ctr in centers:
-        ii = tuple(int(round(c / h)) % grid.N for c in ctr)
-        out.append((tuple(ctr), float(kern[ii])))
-    return out

@@ -32,14 +32,12 @@ from .spectral import ScalarField, VectorField
 
 __all__ = [
     "SolverConfig",
-    "BlowupVerdict",
     "bilinear_B",
     "normalised_pressure",
     "picard_solve",
     "evolve",
     "with_pressures",
     "residual",
-    "continue_max",
 ]
 
 
@@ -57,7 +55,6 @@ class SolverConfig:
     picard_max_iters: int = 100
     smallness_c: float = 1e-2
     eps: float = 0.0
-    blowup_threshold: float = 1e6
     store_every: int = 1
 
     def __post_init__(self):
@@ -69,23 +66,6 @@ class SolverConfig:
             raise ValueError("hyperdissipation must be nonnegative")
         if self.store_every < 1:
             raise ValueError("store_every must be a positive integer")
-
-
-@dataclass(frozen=True)
-class BlowupVerdict:
-    """Outcome of a maximal development run.
-
-    Exactly one of completed / (T_star is set) holds; final_h1 is the H1
-    norm at the last computed state.
-    """
-
-    completed: bool
-    T_star: float | None
-    final_h1: float
-
-    def __post_init__(self):
-        if self.completed == (self.T_star is not None):
-            raise ValueError("completed XOR T_star must hold")
 
 
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -384,91 +364,3 @@ def residual(traj: Trajectory, data: DataTriple, eps: float = 0.0) -> np.ndarray
             )
         out[j - 1] = np.sqrt(max(val_sq, 0.0))
     return out
-
-
-def _window_data(data: DataTriple, t0: float, T_w: float, n_f: int) -> DataTriple:
-    if not data.f:
-        return DataTriple(data.u0, [], T_w)
-    samples = [data.f_at(t0 + s) for s in np.linspace(0.0, T_w, max(n_f, 2))]
-    return DataTriple(data.u0, samples, T_w)
-
-
-def continue_max(data: DataTriple, cfg: SolverConfig):
-    """Maximal development by restarting local solves on windows sized by
-    the smallness rule T_window = c / (H1 size)^4.
-
-    Returns the concatenated trajectory and a BlowupVerdict; exceeding the
-    H1 cap is a verdict, not an error.
-    """
-    t = 0.0
-    u = sp.dealias(data.u0)
-    all_times = [0.0]
-    all_states = [u]
-    all_press = [normalised_pressure(u, _f_sample(data, 0.0))]
-    diags = []
-    h1 = _h1_of(u)
-    while t < data.T - 1e-12 * data.T:
-        if h1 > cfg.blowup_threshold:
-            break
-        f_sup = (
-            max(sobolev_norm(fk, 1.0) for fk in data.f) if data.f else 0.0
-        )
-        size = h1 + f_sup
-        T_w = cfg.smallness_c / max(size, 1e-12) ** 4
-        T_w = min(max(T_w, cfg.dt), data.T - t)
-        window = _window_data(
-            DataTriple(u, data.f, data.T), t, T_w,
-            n_f=_steps_for(T_w, cfg.dt) + 1,
-        )
-        traj = with_pressures(evolve(window, cfg), window)
-        all_times.extend(t + traj.times[1:])
-        all_states.extend(traj.velocities[1:])
-        all_press.extend(traj.pressures[1:])
-        diags.append(traj.diagnostics)
-        t += T_w
-        u = traj.velocities[-1]
-        h1 = _h1_of(u)
-        # exit early if the cap was crossed inside the window
-        crossed = _first_crossing(traj, cfg.blowup_threshold)
-        if crossed is not None:
-            t = t - T_w + crossed
-            break
-
-    completed = h1 <= cfg.blowup_threshold and t >= data.T * (1 - 1e-12)
-    verdict = BlowupVerdict(
-        completed=completed,
-        T_star=None if completed else float(t),
-        final_h1=float(h1),
-    )
-    merged = _merge_diags(all_times, diags)
-    out = Trajectory(np.array(all_times), all_states, all_press,
-                     diagnostics=merged)
-    return out, verdict
-
-
-def _h1_of(u: VectorField) -> float:
-    return sobolev_norm(u, 1.0)
-
-
-def _first_crossing(traj: Trajectory, cap: float):
-    for tt, u in zip(traj.times, traj.velocities):
-        if _h1_of(u) > cap:
-            return float(tt)
-    return None
-
-
-def _merge_diags(all_times, diags):
-    if not diags:
-        return None
-    cols = {}
-    for name in ("t", "energy", "grad_sq", "lap_sq", "enstrophy", "f_inner"):
-        parts = []
-        offset = 0.0
-        for d in diags:
-            arr = getattr(d, name)
-            vals = arr + offset if name == "t" else arr
-            parts.append(vals if not parts else vals[1:])
-            if name == "t":
-                offset += arr[-1]
-        cols[name] = np.concatenate(parts)
-    return DiagnosticsTable(**cols)

@@ -39,12 +39,9 @@ __all__ = [
     "laplacian",
     "inverse_laplacian",
     "leray_project",
-    "biot_savart",
-    "semigroup",
     "dealias",
     "l2_norm",
     "l2_inner",
-    "lp_norm",
     "sup_norm",
     "hermitian_half",
     "write_field",
@@ -356,27 +353,6 @@ def leray_project(u):
     return VectorField(u.grid, _leray(np.array(u.coeffs), *_deriv_modes(u.grid.N)))
 
 
-def biot_savart(omega):
-    """Velocity from vorticity via the curl of the inverse Laplacian.
-
-    For omega = curl(u) with u mean-zero and divergence-free this recovers u:
-    curl(omega) = -Delta(u), so u = -inverse_laplacian(curl(omega)).  Rejects
-    input whose mean mode exceeds 1e-8 of its largest coefficient.
-    """
-    scale = np.max(np.abs(omega.coeffs)) or 1.0
-    if np.max(np.abs(omega.coeffs[:, 0, 0, 0])) > 1e-8 * scale:
-        raise ValueError("biot_savart requires a mean-zero vorticity field")
-    out = inverse_laplacian(curl(omega))
-    return VectorField(out.grid, -out.coeffs)
-
-
-def semigroup(f, t):
-    """Heat semigroup e^{t Delta} as a Fourier multiplier."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    return apply_multiplier(f, np.exp(t * f.grid.laplace_symbol()))
-
-
 def _keep_mask(grid):
     """Combined 2/3-rule and Nyquist-free retention mask."""
     cut = int(np.floor(2.0 / 3.0 * grid.N / 2.0))
@@ -386,14 +362,6 @@ def _keep_mask(grid):
 def dealias(f):
     """2/3-rule truncation; also zeroes the Nyquist planes."""
     return apply_multiplier(f, _keep_mask(f.grid))
-
-
-def multiply(f, g):
-    """Dealiased pointwise product of two scalar fields."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch in product")
-    prod = scalar_from_samples(f.grid, f.samples() * g.samples())
-    return dealias(prod)
 
 
 def l2_norm(f):
@@ -406,21 +374,6 @@ def l2_inner(f, g):
     """Real L^2 inner product over the box."""
     w = f.grid.hermitian_weight()
     return float(f.grid.L**3 * np.sum(w * np.real(f.coeffs * np.conj(g.coeffs))))
-
-
-def lp_norm(f, p):
-    """Grid-quadrature L^p norm (p = inf uses the oversampled sup)."""
-    if p == np.inf:
-        return sup_norm(f)
-    mag = _magnitude(f, f.samples())
-    return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
-
-
-def _magnitude(f, s):
-    """Pointwise length of the samples s of the field f."""
-    if isinstance(f, VectorField):
-        return np.sqrt(np.sum(s * s, axis=0))
-    return np.abs(s)
 
 
 def _padded_along_x(c, N, M):
@@ -516,7 +469,7 @@ def write_field(path, f, time=0.0):
     ncomp = 3 if isinstance(f, VectorField) else 1
     header = (
         f"nslab-field\nL={f.grid.L!r}\nN={f.grid.N}\n"
-        f"components={ncomp}\ntime={time!r}\ndata\n"
+        f"components={ncomp}\ntime={float(time)!r}\ndata\n"
     )
     s = f.samples()
     if ncomp == 1:

@@ -25,10 +25,7 @@ __all__ = [
     "PressureShift",
     "Galilean",
     "Forcing",
-    "GalileanForced",
     "apply",
-    "mean_zero_normalize",
-    "homogenise_shift",
     "weak_pairing_decay",
     "DecayTable",
 ]
@@ -73,8 +70,10 @@ class PressureShift(SymmetryTransform):
         object.__setattr__(self, "C", tuple(float(c) for c in np.atleast_1d(self.C)))
 
 
-class _VelocityPath:
-    """Shared storage for the v(t) samples of the Galilean variants."""
+class Galilean(SymmetryTransform):
+    """Moving-frame change u -> u(x - int v) + v with the non-periodic
+    pressure correction -x . v'(t).  v, and v' when given, are samples
+    evenly spaced over the subject's time span; one sample is a constant."""
 
     def __init__(self, v, v_dot=None):
         v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -112,22 +111,6 @@ class _VelocityPath:
                     [np.interp(times, own, self.v_dot[:, i]) for i in range(3)]
                 )
         return v, X, vd
-
-
-class Galilean(SymmetryTransform):
-    """Moving-frame change u -> u(x - int v) + v with the non-periodic
-    pressure correction -x . v'(t)."""
-
-    def __init__(self, v, v_dot=None):
-        self.path = _VelocityPath(v, v_dot)
-
-
-class GalileanForced(SymmetryTransform):
-    """Moving-frame change whose pressure stays periodic; the frame
-    acceleration v'(t) is moved into the forcing instead."""
-
-    def __init__(self, v, v_dot=None):
-        self.path = _VelocityPath(v, v_dot)
 
 
 @dataclass(frozen=True)
@@ -213,21 +196,14 @@ def _apply_data(tr, data: DataTriple) -> DataTriple:
         return DataTriple(u0, f, lam**2 * data.T)
     if isinstance(tr, PressureShift):
         return data
-    if isinstance(tr, (Galilean, GalileanForced)):
+    if isinstance(tr, Galilean):
         times = data.f_times() if len(data.f) >= 2 else np.array([0.0, data.T])
-        v, X, vd = tr.path.on_times(times)
-        u0 = _add_mean(data.u0, v[0])
-        if data.f:
-            f_t = data.f_times()
-            vf, Xf, vdf = tr.path.on_times(f_t) if len(f_t) >= 2 else (v, X, vd)
-            f = [_phase_shift(fk, Xf[j]) for j, fk in enumerate(data.f)]
-        else:
-            f, vdf, f_t = [], vd, times
-        if isinstance(tr, GalileanForced):
-            if not f and np.max(np.abs(vdf)) > 0:
-                f = [sp.zero_vector(data.grid) for _ in f_t]
-            f = [_add_mean(fk, vdf[j]) for j, fk in enumerate(f)]
-        return DataTriple(u0, f, data.T)
+        v, X, _ = tr.on_times(times)
+        return DataTriple(
+            _add_mean(data.u0, v[0]),
+            [_phase_shift(fk, X[j]) for j, fk in enumerate(data.f)],
+            data.T,
+        )
     if isinstance(tr, Forcing):
         if data.f:
             if len(tr.q) != len(data.f):
@@ -305,16 +281,15 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
         return Trajectory(traj.times, list(traj.velocities), pressures,
                           diagnostics=traj.diagnostics,
                           pressure_linear=traj.pressure_linear)
-    if isinstance(tr, (Galilean, GalileanForced)):
-        v, X, vd = tr.path.on_times(traj.times)
+    if isinstance(tr, Galilean):
+        v, X, vd = tr.on_times(traj.times)
         vels = [
             _add_mean(_phase_shift(u, X[j]), v[j])
             for j, u in enumerate(traj.velocities)
         ]
         press = [_phase_shift(p, X[j]) for j, p in enumerate(traj.pressures)]
         lin = traj.pressure_linear
-        if isinstance(tr, Galilean):
-            lin = (np.zeros((len(traj), 3)) if lin is None else lin.copy()) - vd
+        lin = (np.zeros((len(traj), 3)) if lin is None else lin.copy()) - vd
         return Trajectory(traj.times, vels, press, diagnostics=None,
                           pressure_linear=lin)
     if isinstance(tr, Forcing):
@@ -328,34 +303,6 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
                           diagnostics=traj.diagnostics,
                           pressure_linear=traj.pressure_linear)
     raise TypeError(f"unknown transform {type(tr).__name__}")
-
-
-def mean_zero_normalize(data: DataTriple):
-    """Remove the spatial means of u0 and f by a forced frame change.
-
-    Returns the transformed data together with the velocity path v(t)
-    used, sampled on the forcing time grid (or [0, T] when unforced).
-    """
-    m0 = np.real(data.u0.mean())
-    times = data.f_times() if len(data.f) >= 2 else np.array([0.0, data.T])
-    if data.f:
-        f_means = np.array([np.real(fk.mean()) for fk in data.f])
-        if len(data.f) == 1:
-            f_means = np.repeat(f_means, 2, axis=0)
-    else:
-        f_means = np.zeros((len(times), 3))
-    v = -m0[np.newaxis, :] - cumulative_trapezoid(f_means, times)
-    out = apply(GalileanForced(v, v_dot=-f_means), data)
-    return out, v
-
-
-def homogenise_shift(f, w, T: float):
-    """Shift each forcing sample by w t^2 (Fourier-exact phases)."""
-    w = np.asarray(w, dtype=float)
-    if not f:
-        return []
-    times = np.linspace(0.0, T, len(f)) if len(f) > 1 else np.array([0.0])
-    return [_phase_shift(fk, w * t**2) for fk, t in zip(f, times)]
 
 
 @dataclass

@@ -18,6 +18,7 @@ from nslab.cli import (
     parse_config,
     run,
 )
+from nslab.spaces import DataTriple, energy
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -190,8 +191,15 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     payload = json.loads((out / "manifest.json").read_text())
     assert payload["experiment"] == "solve"
     names = {f["name"] for f in payload["files"]}
-    assert {"diagnostics.csv", "final_velocity.npz",
+    assert {"diagnostics.csv", "final_velocity.field",
             "verdict.txt"} <= names
+    # the field dump reads back as the final state of the run
+    u, t = sp.read_field(out / "final_velocity.field")
+    assert (u.grid.L, u.grid.N) == (1.0, 16)
+    assert t == pytest.approx(0.01, rel=1e-12, abs=0.0)
+    rows = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1)
+    assert energy(DataTriple(u, [], t)) == pytest.approx(rows[-1, 1],
+                                                         rel=1e-12, abs=0.0)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -290,6 +298,16 @@ def test_bad_solver_step_exits_two(tmp_path):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a bad parameter must be rejected before this call")
+
+
+def test_bad_solver_step_exits_two_before_the_data(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    cfg = parse_config(write_cfg(tmp_path,
+                                 SOLVE_CFG.replace("solver.dt = 2.5e-4",
+                                                   "solver.dt = -1")))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "dt must be positive" in manifest.error
 
 
 def test_bad_energy_cutoff_exits_two_before_the_solve(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from nslab.estimates import (
     enstrophy_localisation,
     periodic_distance,
     total_speed,
-    vorticity_residual,
 )
 from nslab.solver import SolverConfig, evolve
 from nslab.spaces import DataTriple, Trajectory
@@ -205,10 +204,3 @@ def test_enstrophy_report_on_admissible_scenario(grid16):
     assert rep.conclusion_ratio < 1.0
     assert np.all(rep.W <= rep.delta**2)
     assert rep.tax_violation <= 1e-6
-
-
-def test_vorticity_residual_is_small_on_a_solver_run(short_run):
-    data, _, traj = short_run
-    res = vorticity_residual(traj, data)
-    assert len(res) == len(traj) - 2
-    assert res[-1] < 0.5

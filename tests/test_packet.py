@@ -11,7 +11,6 @@ from nslab.packet import (
     GrowthTable,
     WavePacketSpec,
     growth_study,
-    kernel_scan,
     leading_order,
     mass_one_bump,
     pairing_from_spec,
@@ -138,26 +137,6 @@ def test_pairing_rejects_mismatched_grids(norm_grid, pairing_grid):
     psi = mass_one_bump(norm_grid)
     with pytest.raises(ValueError, match="share a grid"):
         x0_pairing(u, psi)
-
-
-def test_kernel_scan_decays_away_from_the_bump():
-    grid = sp.make_grid(9.0, 48)
-    psi = mass_one_bump(grid)
-    cross = WavePacketSpec(n=2).cross
-    pts = kernel_scan(psi, cross, 0,
-                      centers=[(1.8, 0.0, 0.0), (4.125, 3.75, 3.0)])
-    near = abs(pts[0][1])
-    far = abs(pts[1][1])
-    # the contracted kernel falls off like the fourth power of distance
-    assert far < 0.01 * near
-
-
-def test_kernel_scan_default_centers_cover_the_box():
-    grid = sp.make_grid(9.0, 16)
-    psi = mass_one_bump(grid, radius=1.5)
-    pts = kernel_scan(psi, (1.0, 0.0, 0.0))
-    assert len(pts) == 16 ** 3
-    assert all(np.isfinite(v) for _, v in pts)
 
 
 # ---------------------------------------------------------------------------

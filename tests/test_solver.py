@@ -7,10 +7,8 @@ import scipy.fft
 
 from nslab import spectral as sp
 from nslab.solver import (
-    BlowupVerdict,
     SolverConfig,
     bilinear_B,
-    continue_max,
     evolve,
     normalised_pressure,
     picard_solve,
@@ -58,13 +56,6 @@ def test_config_rejects_bad_store_every():
 def test_config_rejects_negative_hyperdissipation():
     with pytest.raises(ValueError):
         SolverConfig(eps=-1e-4)
-
-
-def test_blowup_verdict_consistency():
-    with pytest.raises(ValueError):
-        BlowupVerdict(completed=True, T_star=0.5, final_h1=1.0)
-    with pytest.raises(ValueError):
-        BlowupVerdict(completed=False, T_star=None, final_h1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +291,6 @@ def test_energy_decreases_without_forcing(short_run):
     assert np.all(np.diff(traj.diagnostics.energy) < 0.0)
 
 
-def test_blowup_cap_reports_incomplete_development(grid8):
-    data = DataTriple(random_divfree(grid8, seed=9, kmax=2), [], 0.01)
-    _, verdict = continue_max(data, SolverConfig(dt=1e-3,
-                                                 blowup_threshold=1e-12))
-    assert not verdict.completed
-    assert verdict.T_star is not None
-    assert verdict.final_h1 > 1e-12
-
-
 def test_residual_is_small_on_a_solver_run(short_run):
     data, cfg, traj = short_run
     res = residual(traj, data)
@@ -432,16 +414,6 @@ def test_picard_rejects_large_data(grid16):
     data = DataTriple(u, [], 1.0)
     with pytest.raises(ValueError, match="smallness"):
         picard_solve(data, SolverConfig(dt=1e-3))
-
-
-def test_continue_max_completes_on_small_data(grid8):
-    u = random_divfree(grid8, seed=13, kmax=2, amplitude=0.1)
-    data = DataTriple(u, [], 0.005)
-    traj, verdict = continue_max(data, SolverConfig(dt=5e-4))
-    assert verdict.completed
-    assert verdict.T_star is None
-    assert np.isclose(traj.times[-1], data.T, rtol=1e-10)
-    assert verdict.final_h1 > 0.0
 
 
 # ---------------------------------------------------------------------------

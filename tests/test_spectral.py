@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from nslab import spectral as sp
 from nslab.divfree import spectral_sampler
-from nslab.lp import lp_project
 from nslab.spaces import sobolev_norm
 from nslab.symmetry import _phase_shift
 
@@ -100,9 +99,7 @@ MULTIPLIERS = {
     "derivative": lambda f: sp.derivative(f, 1, order=3),
     "laplacian": sp.laplacian,
     "inverse_laplacian": sp.inverse_laplacian,
-    "semigroup": lambda f: sp.semigroup(f, 0.003),
     "dealias": sp.dealias,
-    "lp_project": lambda f: lp_project(f, 4.0),
     "phase_shift": lambda f: _phase_shift(f, (0.1, 0.25, 0.7)),
 }
 
@@ -159,7 +156,7 @@ def test_leray_fixes_divergence_free_fields(grid16):
 
 
 # ---------------------------------------------------------------------------
-# inverse Laplacian and vector potential
+# inverse Laplacian
 
 
 def test_laplacian_inverse_is_identity_minus_mean(grid16):
@@ -173,47 +170,6 @@ def test_laplacian_inverse_is_identity_minus_mean(grid16):
 def test_inverse_laplacian_output_is_mean_zero(grid16):
     f = random_scalar(grid16, seed=12)
     assert abs(sp.inverse_laplacian(f).mean()) < TOL
-
-
-def test_biot_savart_round_trip(grid16):
-    u = random_divfree(grid16, seed=13)
-    back = sp.biot_savart(sp.curl(u))
-    assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-10 * np.max(
-        np.abs(u.coeffs)
-    )
-
-
-def test_biot_savart_output_is_divergence_free(grid16):
-    u = random_divfree(grid16, seed=14)
-    v = sp.biot_savart(sp.curl(u))
-    assert sp.l2_norm(sp.divergence(v)) < TOL
-
-
-# ---------------------------------------------------------------------------
-# heat semigroup
-
-
-def test_semigroup_at_zero_time_is_identity(grid16):
-    u = random_vector(grid16, seed=15)
-    v = sp.semigroup(u, 0.0)
-    assert np.max(np.abs(v.coeffs - u.coeffs)) < TOL
-
-
-def test_semigroup_decays_single_mode_exactly(grid16):
-    x = grid16.nodes()[0]
-    k = 2
-    f = sp.scalar_from_samples(grid16, np.sin(2.0 * np.pi * k * x))
-    t = 0.01
-    g = sp.semigroup(f, t)
-    factor = np.exp(-4.0 * np.pi**2 * k**2 * t)
-    assert np.max(np.abs(g.coeffs - factor * f.coeffs)) < TOL
-
-
-def test_semigroup_composes(grid16):
-    f = random_scalar(grid16, seed=16)
-    one = sp.semigroup(sp.semigroup(f, 0.003), 0.002)
-    two = sp.semigroup(f, 0.005)
-    assert np.max(np.abs(one.coeffs - two.coeffs)) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +320,7 @@ def test_samples_round_trip(grid16):
 
 
 # ---------------------------------------------------------------------------
-# dealiasing and products
+# dealiasing
 
 
 def test_dealias_is_idempotent(grid16):
@@ -379,27 +335,6 @@ def test_dealias_keeps_low_modes(grid16):
     f = sp.scalar_from_samples(grid16, np.cos(2.0 * np.pi * 2 * x))
     g = sp.dealias(f)
     assert np.max(np.abs(g.coeffs - f.coeffs)) < TOL
-
-
-def test_multiply_matches_dealiased_pointwise_product(grid16):
-    f = random_scalar(grid16, seed=22, kmax=4)
-    g = random_scalar(grid16, seed=23, kmax=4)
-    prod = sp.multiply(f, g)
-    manual = sp.dealias(sp.scalar_from_samples(
-        grid16, np.real(f.samples()) * np.real(g.samples())
-    ))
-    assert np.max(np.abs(prod.coeffs - manual.coeffs)) < TOL
-
-
-def test_multiply_is_exact_for_well_separated_bands(grid16):
-    # k=2 times k=3 stays below the two-thirds cutoff, so no information
-    # is lost and the product is the exact pointwise one
-    x = grid16.nodes()[0]
-    f = sp.scalar_from_samples(grid16, np.cos(2.0 * np.pi * 2 * x))
-    g = sp.scalar_from_samples(grid16, np.cos(2.0 * np.pi * 3 * x))
-    prod = sp.multiply(f, g)
-    expect = 0.5 * (np.cos(2.0 * np.pi * 5 * x) + np.cos(2.0 * np.pi * x))
-    assert np.max(np.abs(np.real(prod.samples()) - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

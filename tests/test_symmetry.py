@@ -13,14 +13,11 @@ from nslab.spaces import DataTriple, Trajectory, energy
 from nslab.symmetry import (
     Forcing,
     Galilean,
-    GalileanForced,
     PressureShift,
     Scale,
     SpaceTranslate,
     TimeTranslate,
     apply,
-    homogenise_shift,
-    mean_zero_normalize,
     weak_pairing_decay,
 )
 
@@ -204,45 +201,7 @@ def test_forcing_gauge_leaves_the_residual_unchanged(grid16):
 
 
 # ---------------------------------------------------------------------------
-# mean-zero normalisation
-
-
-def test_mean_zero_normalize_removes_the_means(grid16):
-    u = random_divfree(grid16, seed=9)
-    c = u.coeffs.copy()
-    c[:, 0, 0, 0] = np.array([0.4, -0.2, 0.1])
-    biased = sp.vector_from_coeffs(grid16, c)
-    data = DataTriple(biased, [], 0.5)
-    out, v = mean_zero_normalize(data)
-    assert np.max(np.abs(np.real(out.u0.mean()))) < 1e-13
-    assert np.allclose(v[0], -np.array([0.4, -0.2, 0.1]))
-
-
-def test_mean_zero_normalize_handles_forced_data(grid16):
-    u = random_divfree(grid16, seed=10)
-    f = random_divfree(grid16, seed=11)
-    c = f.coeffs.copy()
-    c[:, 0, 0, 0] = np.array([0.0, 0.3, 0.0])
-    forced = sp.vector_from_coeffs(grid16, c)
-    data = DataTriple(u, [forced, forced], 0.5)
-    out, _ = mean_zero_normalize(data)
-    assert np.max(np.abs(np.real(out.u0.mean()))) < 1e-13
-    for fk in out.f:
-        assert np.max(np.abs(np.real(fk.mean()))) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # oscillatory shifts and the pairing decay
-
-
-def test_homogenise_shift_is_quadratic_in_time(grid16):
-    f = random_divfree(grid16, seed=12)
-    w = np.array([0.3, 0.0, 0.0])
-    out = homogenise_shift([f, f, f], w, T=2.0)
-    # the middle sample sits at t=1, shifted by w; the first is untouched
-    assert np.max(np.abs(out[0].coeffs - f.coeffs)) == 0.0
-    expect = apply(SpaceTranslate(tuple(w)), DataTriple(f, [], 1.0)).u0
-    assert np.max(np.abs(out[1].coeffs - expect.coeffs)) < 1e-13
 
 
 def test_weak_pairing_decays_for_generic_directions(grid8):
