@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nslab import spectral as sp
 from nslab.divfree import spectral_sampler
+from nslab.solver import _product_tensor
 from nslab.spaces import sobolev_norm
 from nslab.symmetry import _phase_shift
 
@@ -156,7 +157,7 @@ def test_leray_fixes_divergence_free_fields(grid16):
 
 
 # ---------------------------------------------------------------------------
-# inverse Laplacian
+# inverse Laplacian and the Biot-Savart law
 
 
 def test_laplacian_inverse_is_identity_minus_mean(grid16):
@@ -170,6 +171,26 @@ def test_laplacian_inverse_is_identity_minus_mean(grid16):
 def test_inverse_laplacian_output_is_mean_zero(grid16):
     f = random_scalar(grid16, seed=12)
     assert abs(sp.inverse_laplacian(f).mean()) < TOL
+
+
+def _biot_savart(omega):
+    # curl(omega) = -Laplacian(u) for u mean-zero and divergence-free
+    out = sp.inverse_laplacian(sp.curl(omega))
+    return sp.vector_from_coeffs(out.grid, -out.coeffs)
+
+
+def test_biot_savart_round_trip(grid16):
+    u = random_divfree(grid16, seed=13)
+    back = _biot_savart(sp.curl(u))
+    assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-10 * np.max(
+        np.abs(u.coeffs)
+    )
+
+
+def test_biot_savart_output_is_divergence_free(grid16):
+    u = random_divfree(grid16, seed=14)
+    v = _biot_savart(sp.curl(u))
+    assert sp.l2_norm(sp.divergence(v)) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +341,7 @@ def test_samples_round_trip(grid16):
 
 
 # ---------------------------------------------------------------------------
-# dealiasing
+# dealiasing and products
 
 
 def test_dealias_is_idempotent(grid16):
@@ -335,6 +356,36 @@ def test_dealias_keeps_low_modes(grid16):
     f = sp.scalar_from_samples(grid16, np.cos(2.0 * np.pi * 2 * x))
     g = sp.dealias(f)
     assert np.max(np.abs(g.coeffs - f.coeffs)) < TOL
+
+
+def _multiply(f, g):
+    """The solver's dealiased product of two scalar fields: slot (0, 0) of
+    its product tensor is u_0 v_0."""
+    fs, gs = np.real(f.samples()), np.real(g.samples())
+    phat = _product_tensor(np.stack([fs] * 3), np.stack([gs] * 3),
+                           sp._keep_mask(f.grid))
+    return sp.scalar_from_coeffs(f.grid, phat[0])
+
+
+def test_multiply_matches_dealiased_pointwise_product(grid16):
+    f = random_scalar(grid16, seed=22, kmax=4)
+    g = random_scalar(grid16, seed=23, kmax=4)
+    prod = _multiply(f, g)
+    manual = sp.dealias(sp.scalar_from_samples(
+        grid16, np.real(f.samples()) * np.real(g.samples())
+    ))
+    assert np.max(np.abs(prod.coeffs - manual.coeffs)) < TOL
+
+
+def test_multiply_is_exact_for_well_separated_bands(grid16):
+    # k=2 times k=3 stays below the two-thirds cutoff, so no information
+    # is lost and the product is the exact pointwise one
+    x = grid16.nodes()[0]
+    f = sp.scalar_from_samples(grid16, np.cos(2.0 * np.pi * 2 * x))
+    g = sp.scalar_from_samples(grid16, np.cos(2.0 * np.pi * 3 * x))
+    prod = _multiply(f, g)
+    expect = 0.5 * (np.cos(2.0 * np.pi * 5 * x) + np.cos(2.0 * np.pi * x))
+    assert np.max(np.abs(np.real(prod.samples()) - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
