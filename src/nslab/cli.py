@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,15 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s):
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
 def _parse_triple(s):
-    parts = [float(p) for p in s.split(",")]
+    parts = [_parse_float(p) for p in s.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers: {s!r}")
     return tuple(parts)
@@ -83,49 +91,49 @@ def _parse_ints(s):
 
 
 def _parse_floats(s):
-    return tuple(float(p) for p in s.split(","))
+    return tuple(_parse_float(p) for p in s.split(","))
 
 
 # key -> parser; unknown keys are config errors
 _SCHEMA = {
     "experiment": str,
-    "grid.L": float,
+    "grid.L": _parse_float,
     "grid.N": int,
     "data.kind": str,
     "data.seed": int,
-    "data.amplitude": float,
+    "data.amplitude": _parse_float,
     "data.kmin": int,
     "data.kmax": int,
-    "data.spectral_slope": float,
+    "data.spectral_slope": _parse_float,
     "data.mean_zero": _parse_bool,
     "data.packet_n": int,
     "data.packet_x0": _parse_triple,
-    "data.packet_width": float,
-    "data.packet_kmax": float,
+    "data.packet_width": _parse_float,
+    "data.packet_kmax": _parse_float,
     "forcing.kind": str,
-    "forcing.amplitude": float,
+    "forcing.amplitude": _parse_float,
     "forcing.samples": int,
     "forcing.seed": int,
     "forcing.kmin": int,
     "forcing.kmax": int,
     "solver.method": str,
-    "solver.dt": float,
-    "solver.T": float,
-    "solver.eps": float,
+    "solver.dt": _parse_float,
+    "solver.T": _parse_float,
+    "solver.eps": _parse_float,
     "solver.store_every": int,
-    "solver.picard_tol": float,
+    "solver.picard_tol": _parse_float,
     "solver.picard_max_iters": int,
-    "solver.smallness_c": float,
-    "harness.delta": float,
-    "harness.c": float,
-    "harness.R": float,
-    "harness.r": float,
+    "solver.smallness_c": _parse_float,
+    "harness.delta": _parse_float,
+    "harness.c": _parse_float,
+    "harness.R": _parse_float,
+    "harness.r": _parse_float,
     "harness.x0": _parse_triple,
     "harness.region": str,
-    "localize.R1": float,
-    "localize.R2": float,
-    "localize.R3": float,
-    "localize.R4": float,
+    "localize.R1": _parse_float,
+    "localize.R2": _parse_float,
+    "localize.R3": _parse_float,
+    "localize.R4": _parse_float,
     "localize.center": _parse_triple,
     "localize.l_max": int,
     "localize.n_r": int,
@@ -134,17 +142,17 @@ _SCHEMA = {
     "counterexample.eta": _parse_triple,
     "counterexample.x0": _parse_triple,
     "counterexample.component": int,
-    "counterexample.psi_radius": float,
-    "counterexample.norm_L": float,
+    "counterexample.psi_radius": _parse_float,
+    "counterexample.norm_L": _parse_float,
     "counterexample.norm_N": int,
-    "counterexample.pairing_L": float,
+    "counterexample.pairing_L": _parse_float,
     "counterexample.pairing_N": int,
     "counterexample.doubling_n": int,
     "homogenize.alpha": _parse_triple,
     "homogenize.lambdas": _parse_floats,
-    "homogenize.T": float,
+    "homogenize.T": _parse_float,
     "homogenize.expect": str,
-    "tol.residual": float,
+    "tol.residual": _parse_float,
     "output.dir": str,
 }
 
@@ -451,7 +459,8 @@ class Verdict:
 @dataclass
 class RunManifest:
     """Record of one experiment run: config echo, version, timing, files
-    with byte sizes, and the verdict list."""
+    with byte sizes, the verdict list, and the measured hypotheses of the
+    inequality it checks, by tag."""
 
     experiment: str
     config: dict
@@ -459,6 +468,7 @@ class RunManifest:
     wall_clock: float
     files: list
     verdicts: list
+    hypotheses: dict
     error: str = ""
 
     def write(self, path):
@@ -470,6 +480,7 @@ class RunManifest:
             "wall_clock_s": round(self.wall_clock, 3),
             "files": self.files,
             "verdicts": [v.line() for v in self.verdicts],
+            "hypotheses": self.hypotheses,
         }
         if self.error:
             payload["error"] = self.error
@@ -488,6 +499,9 @@ class _Artifacts:
     def __init__(self, outdir):
         self.outdir = outdir
         self.files = []
+        # hypothesis values an experiment measured, by inequality tag; the
+        # manifest carries them
+        self.hypotheses = {}
         os.makedirs(outdir, exist_ok=True)
 
     def path(self, name):
@@ -541,7 +555,7 @@ def _exp_solve(cfg, art, baselines):
     # yet held while the sup norm's oversampled temporaries set the peak
     sup = np.array([sp.sup_norm(u) for u in traj.velocities])
     traj = with_pressures(traj, data)
-    res = residual(traj, data, eps=cfg.get("solver.eps"))
+    res = residual(traj, data)
     tol = cfg.get("tol.residual")
     traj.diagnostics.to_csv(art.path("diagnostics.csv"), sup, residual=res)
     sp.write_field(art.path("final_velocity.field"), traj.velocities[-1],
@@ -605,6 +619,9 @@ def _exp_enstrophy(cfg, art, baselines):
     except ValueError as exc:
         return [Verdict("enstrophy-hypotheses", False, float("nan"),
                         float("nan"), note=_tag_of(str(exc)))]
+    art.hypotheses = {"eeta": rep.hypothesis_value,
+                      "delta-4": rep.smallness_value,
+                      "r-large": rep.r_condition_value}
     np.savetxt(art.path("enstrophy.csv"),
                np.column_stack([rep.times, rep.W, rep.radius_path]),
                delimiter=",", header="t,W,R_prime", comments="")
@@ -728,8 +745,7 @@ def _exp_symmetry(cfg, art, baselines):
     grid = _grid(cfg)
     data, traj = _solve_trajectory(cfg, grid)
     traj = with_pressures(traj, data)
-    eps = cfg.get("solver.eps")
-    base = float(np.max(residual(traj, data, eps=eps)))
+    base = float(np.max(residual(traj, data)))
     L = grid.L
     times = np.linspace(0.0, data.T, 5)
     vconst = np.tile(np.array([0.04, -0.015, 0.025]), (5, 1))
@@ -755,7 +771,7 @@ def _exp_symmetry(cfg, art, baselines):
                                 max(data.T - tr.t0, cfg.get("solver.dt")))
         else:
             t_data = apply(tr, data)
-        r = float(np.max(residual(t_traj, t_data, eps=eps)))
+        r = float(np.max(residual(t_traj, t_data)))
         increase = max(r - base, 0.0)
         rows.append((name, base, r, increase))
         verdicts.append(Verdict(f"residual-{name}", increase <= 1e-6,
@@ -804,10 +820,12 @@ def run(cfg: ExperimentConfig, outdir=None) -> tuple:
             code = 1
     except ConfigError as exc:
         error, code = str(exc), 2
-    except (RuntimeError, FloatingPointError, MemoryError) as exc:
+    except (RuntimeError, FloatingPointError, MemoryError, ValueError) as exc:
         error, code = f"numerical abort: {exc}", 3
-    except ValueError as exc:
-        error, code = f"numerical abort: {exc}", 3
+    except Exception:
+        # anything else is an abort too, with its traceback in the error
+        # text, so that the process still exits 3 with a manifest
+        error, code = f"numerical abort: {traceback.format_exc()}", 3
     _write_verdicts(art, verdicts)
     manifest = RunManifest(
         experiment=cfg.experiment,
@@ -816,6 +834,7 @@ def run(cfg: ExperimentConfig, outdir=None) -> tuple:
         wall_clock=time.time() - t0,
         files=[],
         verdicts=verdicts,
+        hypotheses=art.hypotheses,
         error=error,
     )
     manifest_path = os.path.join(outdir, "manifest.json")

@@ -8,7 +8,7 @@ bounded-total-speed ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ from .spaces import (DataTriple, Trajectory, cumulative_simpson,
 from .spectral import VectorField
 
 __all__ = [
-    "CutoffProfile",
     "StaticCutoff",
     "ShrinkingCutoff",
     "EnergyReport",
@@ -47,12 +46,8 @@ def periodic_distance(grid, x0):
     return np.sqrt(d2)
 
 
-class CutoffProfile:
-    """Base tag for the spatial weights used by the localisation checks."""
-
-
 @dataclass(frozen=True)
-class StaticCutoff(CutoffProfile):
+class StaticCutoff:
     """Fourth power of the radial step eta(x) = chi((|x-x0|-R)/r).
 
     The weight is 1 on B(x0, R-r) and 0 outside B(x0, R); exponent 4 keeps
@@ -74,18 +69,9 @@ class StaticCutoff(CutoffProfile):
     def weight(self, grid):
         return self.eta(grid) ** 4
 
-    def derivative_constant(self) -> float:
-        """Measured K with |d^j eta| <= K / r^j for j = 1, 2."""
-        s = np.linspace(-1.5, 0.5, 20001)
-        h = s[1] - s[0]
-        chi = chi_step(s)
-        d1 = np.gradient(chi, h)
-        d2 = np.gradient(d1, h)
-        return float(max(np.max(np.abs(d1)), np.max(np.abs(d2))))
-
 
 @dataclass(frozen=True)
-class ShrinkingCutoff(CutoffProfile):
+class ShrinkingCutoff:
     """Lipschitz weight min(max(0, c^{-0.1} delta^2 (R'(t) - |x|)), 1).
 
     R'(t) decreases from its initial value at 1/c times the solution's
@@ -111,9 +97,6 @@ class ShrinkingCutoff(CutoffProfile):
         acc = cumulative_trapezoid(sup_profile, sup_times)
         return self.R_prime0 - np.interp(times, sup_times, acc) / self.c
 
-    def eta(self, grid, R_prime_t: float):
-        return self.eta_at(periodic_distance(grid, self.center), R_prime_t)
-
     def eta_at(self, d, R_prime_t: float):
         """The weight at points at distance d from the center."""
         return np.clip(self.slope * (R_prime_t - d), 0.0, 1.0)
@@ -126,8 +109,6 @@ class EnergyReport:
     times: np.ndarray
     local_energy: np.ndarray
     dissipation: float
-    lhs_sup: float
-    lhs_grad: float
     rhs_terms: dict
     ratio: float
     verdict: bool
@@ -143,16 +124,12 @@ class EnstrophyReport:
 
     times: np.ndarray
     W: np.ndarray
-    delta: float
     hypothesis_value: float      # vorticity size of the data in the ball
     smallness_value: float       # delta^4 T + delta^5 E^{1/2} T
     r_condition_value: float     # E + E^{1/2} T^{1/4} + delta^{-2} (C = 1)
-    conclusion_lhs: float
-    conclusion_ratio: float      # conclusion_lhs / delta
-    w0_ratio: float              # W(0) / delta^2
+    conclusion_ratio: float      # conclusion lhs / delta
     tax_violation: float
-    radius_path: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    verdict: bool = True
+    radius_path: np.ndarray
 
     def __post_init__(self):
         if np.any(self.W < -1e-14):
@@ -176,12 +153,6 @@ def _grad_samples_sq(u: VectorField):
     return out
 
 
-def _data_for(traj: Trajectory, data: Optional[DataTriple]) -> DataTriple:
-    if data is not None:
-        return data
-    return DataTriple(traj.velocities[0], [], max(traj.T - traj.times[0], 1e-300))
-
-
 def _f_l1_l2(data: DataTriple, mask=None) -> float:
     if not data.f:
         return 0.0
@@ -195,9 +166,8 @@ def _f_l1_l2(data: DataTriple, mask=None) -> float:
     return float(np.trapezoid(prof, times))
 
 
-def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
-                  data: Optional[DataTriple] = None,
-                  region: str = "ball") -> EnergyReport:
+def energy_budget(traj: Trajectory, cutoff: Optional[StaticCutoff],
+                  data: DataTriple, region: str = "ball") -> EnergyReport:
     """Local (or global) energy accounting over a trajectory.
 
     With a StaticCutoff, measures the solution in the inner region
@@ -206,7 +176,6 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
     reports the ratio.  With no cutoff, checks the global energy identity
     from the per-step diagnostics.
     """
-    data = _data_for(traj, data)
     E = energy(DataTriple(data.u0, [sp.leray_project(fk) for fk in data.f],
                           data.T))
     T = traj.T - traj.times[0]
@@ -229,8 +198,6 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
             times=d.t,
             local_energy=d.energy,
             dissipation=float(drop[-1]),
-            lhs_sup=float(np.sqrt(2.0 * np.max(d.energy))),
-            lhs_grad=float(np.sqrt(max(drop[-1], 0.0))),
             rhs_terms={"energy": E, "defect": defect},
             ratio=ratio,
             verdict=defect <= 1e-4 and ratio <= 1.0 + 1e-4,
@@ -280,15 +247,13 @@ def energy_budget(traj: Trajectory, cutoff: Optional[CutoffProfile] = None,
         times=traj.times,
         local_energy=loc_energy,
         dissipation=diss,
-        lhs_sup=sup_l2,
-        lhs_grad=grad_l2,
         rhs_terms=rhs_terms,
         ratio=float(ratio),
         verdict=bool(lhs <= rhs or rhs == 0.0),
     )
 
 
-def total_speed(traj: Trajectory, data: Optional[DataTriple] = None):
+def total_speed(traj: Trajectory, data: DataTriple):
     """Accumulated sup-norm and its ratio to E^{1/2} T^{1/4} + E.
 
     The oversampled sup norm of each stored velocity is integrated over the
@@ -308,7 +273,6 @@ def total_speed(traj: Trajectory, data: Optional[DataTriple] = None):
             raise ValueError("total speed bound needs normalised pressure")
     prof = np.array([sp.sup_norm(u) for u in traj.velocities])
     value = float(np.trapezoid(prof, traj.times))
-    data = _data_for(traj, data)
     E = energy(data)
     bound = np.sqrt(E) * T**0.25 + E
     ratio = value / bound if bound > 0 else 0.0
@@ -316,8 +280,7 @@ def total_speed(traj: Trajectory, data: Optional[DataTriple] = None):
 
 
 def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
-                           r: float, data: Optional[DataTriple] = None
-                           ) -> EnstrophyReport:
+                           r: float, data: DataTriple) -> EnstrophyReport:
     """Shrinking-cutoff enstrophy tracking inside a ball.
 
     Verifies the hypotheses (small vorticity of the data in the ball;
@@ -327,7 +290,6 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
     measures the conclusion in units of delta.
     """
     x0, R = ball
-    data = _data_for(traj, data)
     grid = traj.grid
     T = traj.T - traj.times[0]
     E = energy(data)
@@ -407,20 +369,13 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
         )
 
     lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
-    tax_tol = 1e-6 * cutoff.slope * max(np.max(sup_prof), 1e-300) / c
-
     return EnstrophyReport(
         times=traj.times,
         W=W,
-        delta=delta,
         hypothesis_value=hyp,
         smallness_value=float(small),
         r_condition_value=float(r_cond),
-        conclusion_lhs=lhs,
         conclusion_ratio=lhs / delta,
-        w0_ratio=float(W[0] / delta**2),
         tax_violation=tax_violation,
         radius_path=radii,
-        verdict=bool(np.all(np.diff(radii) <= 1e-15) and
-                     tax_violation <= tax_tol),
     )

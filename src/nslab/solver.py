@@ -90,7 +90,7 @@ def _product_tensor(us, vs, keep):
 
 
 def _first_derivatives(grid):
-    return [sp._axis_multiplier(grid, ax, 1) for ax in range(3)]
+    return [sp._axis_multiplier(grid, ax) for ax in range(3)]
 
 
 def _bilinear(u: VectorField, v: VectorField):
@@ -183,6 +183,15 @@ def _f_sample(data: DataTriple, t):
     return data.f_at(t) if data.f else None
 
 
+def _step_setup(data: DataTriple, cfg: SolverConfig):
+    """(n_steps, dt, half, full): the steps over [0, T], their size, and the
+    integrating factors over half a step and over a whole one."""
+    n_steps = _steps_for(data.T, cfg.dt)
+    dt = data.T / n_steps
+    half = np.exp(0.5 * dt * _stiff_symbol(data.grid, cfg.eps))
+    return n_steps, dt, half, half * half
+
+
 def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
     """Integrating-factor midpoint march over [0, T].
 
@@ -193,12 +202,8 @@ def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
     Picard map; every step's state is then returned.
     """
     grid = data.grid
-    n_steps = _steps_for(data.T, cfg.dt)
-    dt = data.T / n_steps
+    n_steps, dt, half, full = _step_setup(data, cfg)
     u = sp.dealias(data.u0)
-
-    half = np.exp(0.5 * dt * _stiff_symbol(grid, cfg.eps))
-    full = half * half
 
     if picard_source is not None:
         steps = list(range(n_steps + 1))
@@ -269,7 +274,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     the factor and iteration count in traj.meta); like evolve's, the
     trajectory carries its diagnostics but no pressures.
     """
-    size = h1_data_norm(data, integrated=True)
+    size = h1_data_norm(data)
     if size**4 * data.T > cfg.smallness_c:
         raise ValueError(
             "smallness condition violated: "
@@ -277,14 +282,11 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
             f"> {cfg.smallness_c:.3e}"
         )
     grid = data.grid
-    n_steps = _steps_for(data.T, cfg.dt)
+    n_steps, dt, half, full = _step_setup(data, cfg)
     u0 = sp.dealias(data.u0)
 
     # zeroth iterate: the forced heat flow (nonlinearity off)
     current = [u0]
-    half = np.exp(0.5 * (data.T / n_steps) * _stiff_symbol(grid, cfg.eps))
-    full = half * half
-    dt = data.T / n_steps
     for n in range(n_steps):
         f_mid = _f_sample(data, (n + 0.5) * dt)
         forced = (
@@ -324,13 +326,14 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     )
 
 
-def residual(traj: Trajectory, data: DataTriple, eps: float = 0.0) -> np.ndarray:
+def residual(traj: Trajectory, data: DataTriple) -> np.ndarray:
     """L^2 defect of the momentum equation at interior stored times.
 
     Uses central differences in time, the stored pressure (plus any linear
-    pressure part x . a(t)), and the trajectory's own velocity samples.
-    The trajectory must carry its pressures (see with_pressures); without
-    them the defect would silently leave out grad p.
+    pressure part x . a(t)), the trajectory's own velocity samples and its
+    hyperdissipation coefficient meta["eps"].  The trajectory must carry
+    its pressures (see with_pressures); without them the defect would
+    silently leave out grad p.
     """
     if len(traj) < 3:
         raise ValueError("residual needs at least three time samples")
@@ -338,6 +341,7 @@ def residual(traj: Trajectory, data: DataTriple, eps: float = 0.0) -> np.ndarray
         raise ValueError("residual needs the trajectory's pressures; "
                          "see with_pressures")
     grid = traj.grid
+    eps = traj.meta.get("eps", 0.0)
     out = np.zeros(len(traj) - 2)
     for j in range(1, len(traj) - 1):
         u = traj.velocities[j]

@@ -1,16 +1,16 @@
 """Problem data, trajectories, and the norms/functionals built on them.
 
 Sobolev norms use the Fourier definition on the integer wavenumber lattice,
-with weights (1 + |k|^2)^s (inhomogeneous) or |k|^{2s} (homogeneous), scaled
-so that s = 0 matches the quadrature L^2 norm.  Mixed time norms use composite
-trapezoid quadrature on the trajectory's own sample times; the cumulative
-trapezoid and Simpson integrals over those times live here as well.
+with weights (1 + |k|^2)^s, scaled so that s = 0 matches the quadrature L^2
+norm.  The X^1 distance between trajectories uses the trapezoid rule on
+their own sample times; the cumulative trapezoid and Simpson integrals over
+those times live here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,12 +21,9 @@ __all__ = [
     "DataTriple",
     "Trajectory",
     "DiagnosticsTable",
-    "NormReport",
     "sobolev_norm",
-    "mixed_norm",
-    "xs_norm",
+    "xs_distance",
     "energy",
-    "enstrophy",
     "h1_data_norm",
     "cumulative_trapezoid",
     "cumulative_simpson",
@@ -156,79 +153,29 @@ class Trajectory:
         return len(self.times)
 
 
-@dataclass
-class NormReport:
-    """A named norm value with an optional per-time profile."""
-
-    name: str
-    value: float
-    time_profile: Optional[np.ndarray] = None
-
-
-def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
-    """H^s norm with lattice weights; the homogeneous variant requires a
-    mean-zero field."""
+def sobolev_norm(f, s: float) -> float:
+    """H^s norm with the lattice weights (1 + |k|^2)^s."""
     grid = f.grid
-    k2 = grid.k_squared()
     coeffs = f.coeffs if isinstance(f, VectorField) else f.coeffs[np.newaxis]
-    if homogeneous:
-        if np.max(np.abs(coeffs[:, 0, 0, 0])) > DIV_TOL * max(
-            1.0, np.max(np.abs(coeffs))
-        ):
-            raise ValueError("homogeneous Sobolev norm needs a mean-zero field")
-        weight = np.where(k2 > 0, k2.astype(float), 1.0) ** s
-        weight[k2 == 0] = 0.0
-    else:
-        weight = (1.0 + k2) ** s
+    weight = (1.0 + grid.k_squared()) ** s
     weight *= grid.hermitian_weight()
     total = np.sum(weight[np.newaxis] * np.abs(coeffs) ** 2)
     return float(np.sqrt(grid.L**3 * total))
 
 
-def _spatial_norm(spec) -> Callable:
-    if spec == "L2":
-        return sp.l2_norm
-    if isinstance(spec, tuple) and spec[0] == "H":
-        s = spec[1]
-        return lambda f: sobolev_norm(f, s)
-    raise ValueError(f"unknown spatial norm spec {spec!r}")
-
-
-def mixed_norm(traj: Trajectory, p_time, spatial) -> NormReport:
-    """L^p_t X_x norm over the trajectory's stored samples.
-
-    Composite trapezoid in time for finite p; max over samples for p = inf.
-    """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    norm = _spatial_norm(spatial)
-    profile = np.array([norm(u) for u in traj.velocities])
-    if p_time == np.inf:
-        value = float(np.max(profile))
-    else:
-        value = float(
-            np.trapezoid(profile**p_time, traj.times) ** (1.0 / p_time)
-        )
-    return NormReport(f"L{p_time}_t", value, profile)
-
-
-def xs_norm(traj: Trajectory, s: float) -> NormReport:
-    """Hybrid norm: L^inf_t H^s + L^2_t H^{s+1}."""
-    sup_part = mixed_norm(traj, np.inf, ("H", s))
-    l2_part = mixed_norm(traj, 2, ("H", s + 1))
-    return NormReport(f"X^{s}", sup_part.value + l2_part.value)
-
-
 def xs_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """X^1 distance between two trajectories on the same time grid."""
+    """X^1 distance between two trajectories on the same time grid: the
+    L^inf_t H^1 plus the L^2_t H^2 norm (trapezoid rule) of their
+    difference."""
     if len(traj_a) != len(traj_b):
         raise ValueError("trajectories must share a time grid")
-    diffs = [
-        VectorField(ua.grid, ua.coeffs - ub.coeffs)
-        for ua, ub in zip(traj_a.velocities, traj_b.velocities)
-    ]
-    dtraj = Trajectory(traj_a.times, diffs, [])
-    return xs_norm(dtraj, 1.0).value
+    h1, h2 = [], []
+    for ua, ub in zip(traj_a.velocities, traj_b.velocities):
+        d = VectorField(ua.grid, ua.coeffs - ub.coeffs)
+        h1.append(sobolev_norm(d, 1.0))
+        h2.append(sobolev_norm(d, 2.0))
+    return (float(np.max(h1))
+            + float(np.trapezoid(np.array(h2) ** 2, traj_a.times) ** (1.0 / 2)))
 
 
 def energy(data: DataTriple) -> float:
@@ -243,24 +190,15 @@ def energy(data: DataTriple) -> float:
     return 0.5 * (u0_part + f_part) ** 2
 
 
-def enstrophy(u: VectorField) -> float:
-    """Half the squared L^2 norm of the vorticity."""
-    return 0.5 * sp.l2_norm(sp.curl(u)) ** 2
-
-
-def h1_data_norm(data: DataTriple, integrated: bool = False) -> float:
-    """H^1 size of the data: ||u0||_H1 plus the L^inf_t (default) or L^1_t
-    H^1 norm of the forcing."""
+def h1_data_norm(data: DataTriple) -> float:
+    """H^1 size of the data: ||u0||_H1 plus the L^1_t H^1 norm of the
+    forcing."""
     u0_part = sobolev_norm(data.u0, 1.0)
     times = data.f_times()
-    if len(data.f) == 0:
+    if len(times) < 2:
         return u0_part
     prof = np.array([sobolev_norm(fk, 1.0) for fk in data.f])
-    if integrated:
-        if len(times) < 2:
-            return u0_part
-        return u0_part + float(np.trapezoid(prof, times))
-    return u0_part + float(np.max(prof))
+    return u0_part + float(np.trapezoid(prof, times))
 
 
 def _widths(t, ndim):

@@ -283,20 +283,17 @@ def apply_multiplier(f, mult):
     return type(f)(f.grid, f.coeffs * mult)
 
 
-def _axis_multiplier(grid, axis, order):
-    """(2 pi i k_axis / L)^order with the Nyquist plane zeroed for odd order,
-    broadcastable against the half spectrum."""
-    modes = _deriv_modes(grid.N) if order % 2 == 1 else _axis_modes(grid.N)
-    return (2.0j * np.pi * modes[axis] / grid.L) ** order
+def _axis_multiplier(grid, axis):
+    """2 pi i k_axis / L with the Nyquist plane zeroed, broadcastable
+    against the half spectrum."""
+    return 2.0j * np.pi * _deriv_modes(grid.N)[axis] / grid.L
 
 
-def derivative(f, axis, order=1):
-    """Spectral partial derivative along axis 0..2 of the given order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+def derivative(f, axis):
+    """Spectral first partial derivative along axis 0..2."""
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
-    return apply_multiplier(f, _axis_multiplier(f.grid, axis, order))
+    return apply_multiplier(f, _axis_multiplier(f.grid, axis))
 
 
 def gradient(f):

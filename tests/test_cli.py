@@ -70,6 +70,26 @@ def test_parse_rejects_bad_values(tmp_path):
         parse_config(path)
 
 
+NUMBER_KEYS = sorted(
+    key for key, parser in cli._SCHEMA.items()
+    if parser in (cli._parse_float, cli._parse_triple, cli._parse_floats))
+
+
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_non_finite_numbers_exit_two_before_the_data(tmp_path, monkeypatch,
+                                                     key):
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    lines = [ln for ln in SOLVE_CFG.splitlines()
+             if ln.split("=")[0].strip() != key]
+    for bad in ("nan", "inf", "-inf"):
+        value = {cli._parse_triple: f"0.5,{bad},0.5",
+                 cli._parse_floats: f"1.0,{bad}"}.get(cli._SCHEMA[key], bad)
+        path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]))
+        out = tmp_path / f"out{bad}"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_parse_rejects_non_assignments(tmp_path):
     path = write_cfg(tmp_path, "experiment solve\n")
     with pytest.raises(ConfigError, match="expected key=value"):
@@ -190,6 +210,7 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert "residual: PASS value=" in text
     payload = json.loads((out / "manifest.json").read_text())
     assert payload["experiment"] == "solve"
+    assert payload["hypotheses"] == {}
     names = {f["name"] for f in payload["files"]}
     assert {"diagnostics.csv", "final_velocity.field",
             "verdict.txt"} <= names
@@ -257,6 +278,23 @@ def test_config_error_exits_two_and_writes_the_manifest(tmp_path):
     assert "unknown solver method" in manifest.error
     payload = json.loads((out / "manifest.json").read_text())
     assert "error" in payload
+
+
+def test_unexpected_error_exits_three_and_writes_the_manifest(
+        tmp_path, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("cannot convert float infinity to integer")
+
+    monkeypatch.setattr(cli, "generate_data", overflow)
+    out = tmp_path / "out"
+    manifest, code = run(parse_config(write_cfg(tmp_path, SOLVE_CFG)),
+                         outdir=str(out))
+    assert code == 3
+    assert manifest.error.startswith("numerical abort: Traceback")
+    assert manifest.error.endswith("OverflowError: cannot convert float "
+                                   "infinity to integer\n")
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["error"] == manifest.error
 
 
 def test_numerical_abort_exits_three(tmp_path):
@@ -376,19 +414,41 @@ def test_misordered_annulus_exits_two_before_the_data(tmp_path, monkeypatch):
     assert "annulus radii" in manifest.error
 
 
+ENSTROPHY_CFG = ("experiment = enstrophy-loc\ngrid.N = 16\n"
+                 "data.kind = random-band\ndata.amplitude = 0.05\n"
+                 "solver.dt = 5e-6\nsolver.T = 1e-4\n"
+                 "harness.x0 = 0.5,0.5,0.5\nharness.R = 0.4\n"
+                 "harness.r = 0.15\nharness.c = 0.01\n")
+
+
 def test_enstrophy_hypothesis_violation_is_a_tagged_fail(tmp_path):
-    text = ("experiment = enstrophy-loc\ngrid.N = 16\n"
-            "data.kind = random-band\ndata.amplitude = 0.05\n"
-            "solver.dt = 5e-6\nsolver.T = 1e-4\n"
-            "harness.x0 = 0.5,0.5,0.5\nharness.R = 0.4\nharness.r = 0.15\n"
-            "harness.delta = 1e4\nharness.c = 0.01\n")
-    cfg = parse_config(write_cfg(tmp_path, text))
+    cfg = parse_config(write_cfg(tmp_path,
+                                 ENSTROPHY_CFG + "harness.delta = 1e4\n"))
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 1
     v = manifest.verdicts[0]
     assert v.name == "enstrophy-hypotheses"
     assert not v.passed
     assert v.note == "delta-4"
+    assert manifest.hypotheses == {}
+
+
+def test_enstrophy_hypotheses_go_to_the_manifest_only(tmp_path):
+    # eeta <= delta, delta-4 <= c and r > r-large, measured
+    cfg = parse_config(write_cfg(tmp_path,
+                                 ENSTROPHY_CFG + "harness.delta = 3.0\n"))
+    out = tmp_path / "out"
+    manifest, code = run(cfg, outdir=str(out))
+    assert code == 0
+    hyp = json.loads((out / "manifest.json").read_text())["hypotheses"]
+    assert hyp == manifest.hypotheses
+    assert set(hyp) == {"eeta", "delta-4", "r-large"}
+    assert 0.0 < hyp["eeta"] <= 3.0
+    assert 0.0 < hyp["delta-4"] <= 0.01
+    assert 0.0 < hyp["r-large"] < 0.15
+    for name in ("verdict.txt", "enstrophy.csv"):
+        text = (out / name).read_text()
+        assert "eeta" not in text and "delta-4" not in text
 
 
 def test_baseline_directory_override(tmp_path, monkeypatch):

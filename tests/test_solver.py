@@ -19,6 +19,7 @@ from nslab.solver import (
 )
 from nslab import solver
 from nslab.spaces import DataTriple, Trajectory, xs_distance
+from nslab.symmetry import Scale, apply
 
 from conftest import random_divfree, random_vector
 
@@ -437,3 +438,14 @@ def test_hyperdissipation_loses_energy_faster(grid16):
     plain = evolve(data, SolverConfig(dt=1e-3))
     hyper = evolve(data, SolverConfig(dt=1e-3, eps=1e-3))
     assert hyper.diagnostics.energy[-1] < plain.diagnostics.energy[-1]
+
+
+def test_residual_reads_the_hyperdissipation_from_the_trajectory(grid16):
+    # left out, the eps Delta^2 u term makes the defect read 29.9 here, not
+    # 0.038; a Scale(2) image carries 4 eps and must read base * 2^(-3/2)
+    data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
+    traj = with_pressures(evolve(data, SolverConfig(dt=1e-4, eps=1e-3)), data)
+    base = residual(traj, data)
+    assert np.max(base) < 0.1
+    scaled = residual(apply(Scale(2.0), traj), apply(Scale(2.0), data))
+    assert np.allclose(scaled, 2.0**-1.5 * base, rtol=1e-12, atol=0.0)

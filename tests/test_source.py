@@ -1,7 +1,8 @@
 """Static checks of the package source, in place of a linter: every name
 a module lists in ``__all__`` exists, every name it imports is used, every
-function and class is reached from the command line, and the command line
-loads no package it does not need."""
+function and class is reached from the command line and every member of a
+reached class is read, the command line loads no package it does not
+need, and the number of settable values does not grow."""
 
 import ast
 import os
@@ -134,11 +135,25 @@ def _package():
     return defs, links
 
 
+def _code(node):
+    """node and the nodes below it, without annotations: a name in an
+    annotation is a type, not a use."""
+    yield node
+    for name, value in ast.iter_fields(node):
+        if name in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _code(child)
+
+
 def _references(mod, node, defs, links):
-    """The (module, name) definitions a node's code refers to."""
+    """The (module, name) definitions a node's code refers to.  Only loaded
+    names count: the field ``enstrophy: np.ndarray`` stores to its name and
+    uses no function of that name."""
     out = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+    for n in _code(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             link = (mod, n.id) if n.id in defs[mod] else links[mod].get(n.id)
             if link is not None and link[1] is not None:
                 out.add(link)
@@ -149,10 +164,8 @@ def _references(mod, node, defs, links):
     return out
 
 
-def test_every_definition_is_reached_from_the_command_line():
-    # name closure from the two entry points; a definition that only its
-    # own tests reach is dead weight and goes with those tests
-    defs, links = _package()
+def _reached(defs, links):
+    """The name closure of the two entry points."""
     reached, todo = set(), [("cli", "main"), ("cli", "run")]
     while todo:
         mod, name = todo.pop()
@@ -160,6 +173,14 @@ def test_every_definition_is_reached_from_the_command_line():
             continue
         reached.add((mod, name))
         todo += _references(mod, defs[mod][name], defs, links)
+    return reached
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    # a definition that only its own tests reach is dead weight and goes
+    # with those tests
+    defs, links = _package()
+    reached = _reached(defs, links)
     unreached = sorted(
         f"{mod}.{name}" for mod in defs for name, node in defs[mod].items()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -169,3 +190,71 @@ def test_every_definition_is_reached_from_the_command_line():
     stale = sorted(f"{m}.{n}" for m, n in REACHED_ONLY_BY_TESTS
                    if (m, n) in reached or n not in defs.get(m, {}))
     assert not stale, f"allow-list entries now reached or gone: {stale}"
+
+
+# (module, class, member) -> reason, for members of reached classes that
+# no code in the package reads but that stay on purpose.
+UNREAD_MEMBERS = {}
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass"
+               for d in node.decorator_list)
+
+
+def _members(node):
+    """The non-dunder methods and properties of a class, and its fields if
+    it is a dataclass."""
+    out = []
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and not (
+                item.name.startswith("__") and item.name.endswith("__")):
+            out.append(item.name)
+        elif (isinstance(item, ast.AnnAssign) and _is_dataclass(node)
+              and isinstance(item.target, ast.Name)):
+            out.append(item.target.id)
+    return out
+
+
+def test_every_member_of_a_reached_class_is_read():
+    # a method, property or field that no code reads as an attribute is
+    # computed, or kept, for nobody; matched by name, so a read of any
+    # object's attribute of that name counts
+    defs, links = _package()
+    read = {n.attr for path in MODULES for n in ast.walk(_tree(path))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = sorted(
+        f"{mod}.{name}.{member}"
+        for mod, name in _reached(defs, links)
+        if isinstance(defs[mod][name], ast.ClassDef)
+        for member in _members(defs[mod][name])
+        if member not in read and (mod, name, member) not in UNREAD_MEMBERS)
+    assert not unread, f"members no code reads: {unread}"
+    stale = sorted(f"{m}.{n}.{a}" for m, n, a in UNREAD_MEMBERS
+                   if a in read)
+    assert not stale, f"allow-list entries now read: {stale}"
+
+
+# Defaulted function parameters plus defaulted dataclass fields in the
+# package: each is a value a caller can set.  Lower this when a change
+# removes some; raise it only with a reason stated in the change.
+SETTABLE_VALUES = 48
+
+
+def _settable_values(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(item, ast.AnnAssign)
+                         and item.value is not None for item in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    count = sum(_settable_values(_tree(path)) for path in MODULES)
+    assert count <= SETTABLE_VALUES, (
+        f"{count} settable values, more than the {SETTABLE_VALUES} allowed")

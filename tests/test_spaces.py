@@ -12,13 +12,11 @@ from nslab.spaces import (
     cumulative_simpson,
     cumulative_trapezoid,
     energy,
-    enstrophy,
     h1_data_norm,
-    mixed_norm,
     sobolev_norm,
     xs_distance,
-    xs_norm,
 )
+from nslab.solver import SolverConfig, evolve
 
 from conftest import random_divfree, random_vector
 
@@ -47,21 +45,6 @@ def test_sobolev_single_mode_closed_form(grid16):
     for s in (0.0, 1.0, 2.0):
         expect = (1.0 + k**2) ** (s / 2.0) * l2
         assert np.isclose(sobolev_norm(u, s), expect, rtol=1e-10)
-
-
-def test_homogeneous_sobolev_single_mode(grid16):
-    k = 2
-    u = single_mode(grid16, k)
-    ratio = sobolev_norm(u, 1.0, homogeneous=True) / sp.l2_norm(u)
-    assert np.isclose(ratio, k, rtol=1e-10)
-
-
-def test_homogeneous_sobolev_rejects_nonzero_mean(grid16):
-    c = np.zeros((3,) + grid16.spectral_shape, dtype=complex)
-    c[0, 0, 0, 0] = 1.0
-    u = sp.vector_from_coeffs(grid16, c)
-    with pytest.raises(ValueError):
-        sobolev_norm(u, 1.0, homogeneous=True)
 
 
 def test_sobolev_orders_nest(grid16):
@@ -117,7 +100,7 @@ def test_trajectory_rejects_length_mismatch(grid16):
 
 
 # ---------------------------------------------------------------------------
-# mixed and hybrid norms
+# the X^1 distance
 
 
 def make_traj(grid, n=4, seed=12):
@@ -126,25 +109,42 @@ def make_traj(grid, n=4, seed=12):
     return Trajectory(times, vels, [])
 
 
-def test_mixed_norm_inf_is_profile_max(grid8):
-    traj = make_traj(grid8)
-    rep = mixed_norm(traj, np.inf, "L2")
-    assert rep.value == np.max(rep.time_profile)
-    assert len(rep.time_profile) == len(traj)
+def test_xs_distance_of_a_constant_difference(grid8):
+    # L^inf_t H^1 is the H^1 norm, L^2_t H^2 the H^2 norm times sqrt(T)
+    a = make_traj(grid8, n=5, seed=40)
+    d = random_divfree(grid8, seed=60)
+    b = Trajectory(a.times, [sp.vector_from_coeffs(grid8, u.coeffs - d.coeffs)
+                             for u in a.velocities], [])
+    expect = sobolev_norm(d, 1.0) + sobolev_norm(d, 2.0) * np.sqrt(a.T)
+    assert np.isclose(xs_distance(a, b), expect, rtol=1e-12)
 
 
-def test_mixed_norm_two_is_trapezoid(grid8):
-    traj = make_traj(grid8)
-    rep = mixed_norm(traj, 2, "L2")
-    expect = np.sqrt(np.trapezoid(rep.time_profile**2, traj.times))
-    assert np.isclose(rep.value, expect, rtol=1e-12)
+def test_xs_distance_of_a_single_spike(grid8):
+    # trajectories that differ at one interior sample j only: the trapezoid
+    # weight of that sample is (t[j+1] - t[j-1]) / 2
+    times = np.array([0.0, 0.1, 0.25, 0.3])
+    a = Trajectory(times, [random_divfree(grid8, seed=70 + j)
+                           for j in range(4)], [])
+    d = random_divfree(grid8, seed=80)
+    b = Trajectory(times, list(a.velocities), [])
+    b.velocities[2] = sp.vector_from_coeffs(
+        grid8, a.velocities[2].coeffs - d.coeffs)
+    expect = (sobolev_norm(d, 1.0)
+              + sobolev_norm(d, 2.0) * np.sqrt((0.3 - 0.1) / 2.0))
+    assert np.isclose(xs_distance(a, b), expect, rtol=1e-12)
 
 
-def test_xs_norm_is_the_sum_of_its_parts(grid8):
-    traj = make_traj(grid8)
-    expect = (mixed_norm(traj, np.inf, ("H", 1.0)).value
-              + mixed_norm(traj, 2, ("H", 2.0)).value)
-    assert np.isclose(xs_norm(traj, 1.0).value, expect, rtol=1e-12)
+def test_xs_distance_is_sup_h1_plus_l2_h2_bit_for_bit(grid8):
+    # the Picard stopping test and contraction factor read these bits
+    a = make_traj(grid8, n=5, seed=40)
+    b = make_traj(grid8, n=5, seed=50)
+    diffs = [sp.vector_from_coeffs(grid8, ua.coeffs - ub.coeffs)
+             for ua, ub in zip(a.velocities, b.velocities)]
+    h1 = np.array([sobolev_norm(d, 1.0) for d in diffs])
+    h2 = np.array([sobolev_norm(d, 2.0) for d in diffs])
+    expect = (float(np.max(h1))
+              + float(np.trapezoid(h2**2, a.times) ** (1.0 / 2)))
+    assert xs_distance(a, b) == expect
 
 
 def test_xs_distance_is_a_metric_on_samples(grid8):
@@ -210,21 +210,23 @@ def test_energy_includes_integrated_forcing(grid16):
 
 
 def test_enstrophy_of_single_mode(grid16):
+    # the enstrophy column of the solver's diagnostics at t = 0
     k = 2
     u = single_mode(grid16, k)
+    traj = evolve(DataTriple(u, [], 1e-3), SolverConfig(dt=1e-3))
     # curl of sin(2 pi k x) e_y has magnitude 2 pi k cos(...)
     expect = 0.5 * (2.0 * np.pi * k) ** 2 * sp.l2_norm(u) ** 2
-    assert np.isclose(enstrophy(u), expect, rtol=1e-10)
+    assert np.isclose(traj.diagnostics.enstrophy[0], expect, rtol=1e-10)
 
 
 def test_h1_data_norm_integrated_variant(grid16):
+    # the forcing enters through its L^1_t H^1 norm
     u = random_divfree(grid16, seed=16)
     f = random_divfree(grid16, seed=17)
-    data = DataTriple(u, [f, f], 0.4)
     base = sobolev_norm(u, 1.0)
-    assert np.isclose(h1_data_norm(data), base + sobolev_norm(f, 1.0),
-                      rtol=1e-12)
-    assert np.isclose(h1_data_norm(data, integrated=True),
+    assert h1_data_norm(DataTriple(u, [], 0.4)) == base
+    assert h1_data_norm(DataTriple(u, [f], 0.4)) == base
+    assert np.isclose(h1_data_norm(DataTriple(u, [f, f], 0.4)),
                       base + 0.4 * sobolev_norm(f, 1.0), rtol=1e-12)
 
 
