@@ -20,16 +20,11 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--skip-slow", action="store_true",
-                        help="skip the counterexample growth study")
     args = parser.parse_args()
 
     worst = 0
     for path in sorted(glob.glob(os.path.join(REPO, "configs", "*.cfg"))):
         name = os.path.splitext(os.path.basename(path))[0]
-        if args.skip_slow and name == "counterexample":
-            print(f"{name:24s} skipped")
-            continue
         cfg = cli.parse_config(path)
         t0 = time.time()
         manifest, code = cli.run(cfg, outdir=os.path.join(args.out, name))

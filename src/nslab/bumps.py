@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glue", "smoothstep", "lp_profile", "chi_step", "radial_bump"]
+__all__ = ["glue", "smoothstep", "lp_profile", "radial_bump"]
 
 
 def glue(t):
@@ -38,11 +38,6 @@ def smoothstep(t):
 def lp_profile(r):
     """Radial Littlewood-Paley bump: 1 on [0,1], 0 on [2,inf), monotone."""
     return smoothstep(2.0 - np.asarray(r, dtype=float))
-
-
-def chi_step(s):
-    """Cutoff profile chi: 1 on (-inf,-1], 0 on [0,inf), monotone."""
-    return smoothstep(-np.asarray(s, dtype=float))
 
 
 def radial_bump(r, flat=0.5):

@@ -1,20 +1,18 @@
 """Quantitative diagnostics on solver trajectories.
 
-Implements the localisation machinery: static annulus cutoffs eta^4 for
-local energy budgets, the shrinking Lipschitz cutoff driven by the
-accumulated sup-norm for enstrophy localisation, and the
-bounded-total-speed ratio.
+Implements the localisation machinery: the global energy identity, the
+local energy budget on the regions of a static annulus cutoff, the
+shrinking Lipschitz cutoff driven by the accumulated sup-norm for
+enstrophy localisation, and the bounded-total-speed ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import spectral as sp
-from .bumps import chi_step
 from .spaces import (DataTriple, Trajectory, cumulative_simpson,
                      cumulative_trapezoid, energy)
 from .spectral import VectorField
@@ -22,9 +20,10 @@ from .spectral import VectorField
 __all__ = [
     "StaticCutoff",
     "ShrinkingCutoff",
-    "EnergyReport",
     "EnstrophyReport",
+    "HypothesisError",
     "ENERGY_REGIONS",
+    "energy_identity",
     "energy_budget",
     "total_speed",
     "enstrophy_localisation",
@@ -48,11 +47,8 @@ def periodic_distance(grid, x0):
 
 @dataclass(frozen=True)
 class StaticCutoff:
-    """Fourth power of the radial step eta(x) = chi((|x-x0|-R)/r).
-
-    The weight is 1 on B(x0, R-r) and 0 outside B(x0, R); exponent 4 keeps
-    a large common factor between the weight and its gradient.
-    """
+    """A radial cutoff about x0, 1 on B(x0, R-r) and 0 outside B(x0, R):
+    the centre and radii energy_budget measures with."""
 
     center: tuple
     R: float
@@ -61,13 +57,6 @@ class StaticCutoff:
     def __post_init__(self):
         if not (0.0 < self.r < self.R / 2.0):
             raise ValueError(f"need 0 < r < R/2, got r={self.r}, R={self.R}")
-
-    def eta(self, grid):
-        d = periodic_distance(grid, self.center)
-        return chi_step((d - self.R) / self.r)
-
-    def weight(self, grid):
-        return self.eta(grid) ** 4
 
 
 @dataclass(frozen=True)
@@ -103,22 +92,6 @@ class ShrinkingCutoff:
 
 
 @dataclass
-class EnergyReport:
-    """Local energy trace and its comparison against the a priori bound."""
-
-    times: np.ndarray
-    local_energy: np.ndarray
-    dissipation: float
-    rhs_terms: dict
-    ratio: float
-    verdict: bool
-
-    def __post_init__(self):
-        if np.any(self.local_energy < -1e-14) or self.dissipation < -1e-14:
-            raise ValueError("energy quantities must be nonnegative")
-
-
-@dataclass
 class EnstrophyReport:
     """Shrinking-cutoff enstrophy trace and the hypothesis/conclusion data."""
 
@@ -134,6 +107,17 @@ class EnstrophyReport:
     def __post_init__(self):
         if np.any(self.W < -1e-14):
             raise ValueError("localised enstrophy must be nonnegative")
+
+
+class HypothesisError(ValueError):
+    """A hypothesis of enstrophy_localisation that fails, by its inequality
+    tag; ``measured`` holds the hypothesis values measured up to and
+    including it, by tag."""
+
+    def __init__(self, tag, detail, measured):
+        super().__init__(f"({tag}): {detail}")
+        self.tag = tag
+        self.measured = measured
 
 
 def _masked_l2(u: VectorField, mask) -> float:
@@ -153,60 +137,57 @@ def _grad_samples_sq(u: VectorField):
     return out
 
 
-def _f_l1_l2(data: DataTriple, mask=None) -> float:
+def _f_l1_l2(data: DataTriple, mask) -> float:
     if not data.f:
         return 0.0
     times = data.f_times()
     if len(times) < 2:
         return 0.0
-    if mask is None:
-        prof = np.array([sp.l2_norm(fk) for fk in data.f])
-    else:
-        prof = np.array([_masked_l2(fk, mask) for fk in data.f])
+    prof = np.array([_masked_l2(fk, mask) for fk in data.f])
     return float(np.trapezoid(prof, times))
 
 
-def energy_budget(traj: Trajectory, cutoff: Optional[StaticCutoff],
-                  data: DataTriple, region: str = "ball") -> EnergyReport:
-    """Local (or global) energy accounting over a trajectory.
+def _data_energy(data: DataTriple) -> float:
+    """E of the data with the forcing Leray-projected."""
+    return energy(DataTriple(data.u0, [sp.leray_project(fk) for fk in data.f],
+                             data.T))
 
-    With a StaticCutoff, measures the solution in the inner region
-    B(x0, R-r) (or, with region="exterior", outside B(x0, R+r)) against
-    the data-plus-energy bound with the r-dependent leakage terms, and
-    reports the ratio.  With no cutoff, checks the global energy identity
-    from the per-step diagnostics.
+
+def energy_identity(traj: Trajectory, data: DataTriple) -> tuple:
+    """(defect, ratio) of the global energy identity, in units of E.
+
+    From the trajectory's diagnostic rows, lhs(t) = energy + the integrated
+    dissipation - the integrated work of the forcing; the defect is its
+    largest drift from lhs(0), the ratio its largest value.  The
+    trajectory must carry its diagnostics (see solver.with_diagnostics).
     """
-    E = energy(DataTriple(data.u0, [sp.leray_project(fk) for fk in data.f],
-                          data.T))
-    T = traj.T - traj.times[0]
-    grid = traj.grid
+    d = traj.diagnostics
+    if d is None:
+        raise ValueError("the energy identity needs the trajectory's "
+                         "diagnostics; see with_diagnostics")
+    E = _data_energy(data)
+    lhs = (d.energy + cumulative_simpson(d.grad_sq, d.t)
+           - cumulative_simpson(d.f_inner, d.t))
+    eps = traj.meta.get("eps", 0.0)
+    if eps:
+        # the hyperdissipation drains eps ||Delta u||^2 as well
+        lhs += eps * cumulative_simpson(d.lap_sq, d.t)
+    if E <= 0:
+        return 0.0, 0.0
+    return float(np.max(np.abs(lhs - lhs[0])) / E), float(np.max(lhs) / E)
 
-    if cutoff is None:
-        d = traj.diagnostics
-        if d is None:
-            raise ValueError("global energy check needs solver diagnostics")
-        drop = cumulative_simpson(d.grad_sq, d.t)
-        pump = cumulative_simpson(d.f_inner, d.t)
-        lhs = d.energy + drop - pump
-        eps = traj.meta.get("eps", 0.0)
-        if eps:
-            # the hyperdissipation drains eps ||Delta u||^2 as well
-            lhs += eps * cumulative_simpson(d.lap_sq, d.t)
-        ratio = float(np.max(lhs) / E) if E > 0 else 0.0
-        defect = float(np.max(np.abs(lhs - lhs[0])) / E) if E > 0 else 0.0
-        return EnergyReport(
-            times=d.t,
-            local_energy=d.energy,
-            dissipation=float(drop[-1]),
-            rhs_terms={"energy": E, "defect": defect},
-            ratio=ratio,
-            verdict=defect <= 1e-4 and ratio <= 1.0 + 1e-4,
-        )
 
-    if not isinstance(cutoff, StaticCutoff):
-        raise ValueError("energy_budget expects a StaticCutoff or None")
+def energy_budget(traj: Trajectory, cutoff: StaticCutoff, data: DataTriple,
+                  region: str = "ball") -> float:
+    """Local energy budget of a trajectory: the ratio of sup_t ||u||_L2 +
+    ||grad u||_L2L2 in the inner region B(x0, R-r) (or, with
+    region="exterior", outside B(x0, R+r)) to the data-plus-energy bound
+    with the r-dependent leakage terms."""
     if region not in ENERGY_REGIONS:
         raise ValueError(f"unknown region {region!r}")
+    E = _data_energy(data)
+    T = traj.T - traj.times[0]
+    grid = traj.grid
     d_grid = periodic_distance(grid, cutoff.center)
     if region == "ball":
         inner = d_grid <= cutoff.R - cutoff.r
@@ -215,42 +196,16 @@ def energy_budget(traj: Trajectory, cutoff: Optional[StaticCutoff],
         inner = d_grid >= cutoff.R + cutoff.r
         outer = d_grid >= cutoff.R
 
-    weight = cutoff.weight(grid) if region == "ball" else (
-        1.0 - StaticCutoff(cutoff.center, cutoff.R + cutoff.r, cutoff.r).weight(grid)
-    )
-    # one pass over the states: each state's samples and gradient samples
-    # are made once and serve every profile
-    loc_energy, inner_l2, grad_prof, diss_prof = [], [], [], []
+    inner_l2, grad_prof = [], []
     for u in traj.velocities:
-        sq = np.real(u.samples()) ** 2
-        loc_energy.append(
-            0.5 * np.sum(np.sum(sq, axis=0) * weight) * grid.cell_volume)
-        inner_l2.append(_masked_l2_of(sq, inner, grid))
-        grad_sq = _grad_samples_sq(u)
-        grad_prof.append(np.sum(grad_sq * inner) * grid.cell_volume)
-        diss_prof.append(np.sum(grad_sq * weight) * grid.cell_volume)
-    loc_energy = np.array(loc_energy)
-    sup_l2 = max(inner_l2)
-    grad_l2 = float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
-    diss = float(np.trapezoid(diss_prof, traj.times))
-
-    rhs_terms = {
-        "data_l2": _masked_l2(data.u0, outer),
-        "forcing_l1_l2": _f_l1_l2(data, outer),
-        "leak_r": np.sqrt(E * T) / cutoff.r,
-        "leak_r2": np.sqrt(E**3 * T) / cutoff.r**2,
-    }
-    rhs = sum(rhs_terms.values())
-    lhs = sup_l2 + grad_l2
-    ratio = lhs / rhs if rhs > 0 else 0.0
-    return EnergyReport(
-        times=traj.times,
-        local_energy=loc_energy,
-        dissipation=diss,
-        rhs_terms=rhs_terms,
-        ratio=float(ratio),
-        verdict=bool(lhs <= rhs or rhs == 0.0),
-    )
+        inner_l2.append(_masked_l2(u, inner))
+        grad_prof.append(np.sum(_grad_samples_sq(u) * inner) * grid.cell_volume)
+    lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
+    # summed from 0 in this order (data, forcing, the two leakage terms),
+    # the order the local ratio's recorded bits come from
+    rhs = sum((_masked_l2(data.u0, outer), _f_l1_l2(data, outer),
+               np.sqrt(E * T) / cutoff.r, np.sqrt(E**3 * T) / cutoff.r**2))
+    return float(lhs / rhs) if rhs > 0 else 0.0
 
 
 def total_speed(traj: Trajectory, data: DataTriple):
@@ -294,12 +249,17 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
     T = traj.T - traj.times[0]
     E = energy(data)
 
+    measured = {}
     if not (0.0 < r < R / 2.0):
-        raise ValueError(f"(r-large): need 0 < r < R/2, got r={r}, R={R}")
+        raise HypothesisError("r-large", f"need 0 < r < R/2, got r={r}, R={R}",
+                              measured)
     if R > grid.L * (1 + 1e-12):
-        raise ValueError(f"(r-large): ball radius R={R} exceeds the period {grid.L}")
+        raise HypothesisError(
+            "r-large", f"ball radius R={R} exceeds the period {grid.L}",
+            measured)
     if T > grid.L**2 * (1 + 1e-12):
-        raise ValueError(f"(l1x): total speed bound needs T <= L^2, got T={T}")
+        raise HypothesisError(
+            "l1x", f"total speed bound needs T <= L^2, got T={T}", measured)
 
     omega0 = sp.curl(data.u0)
     d_grid = periodic_distance(grid, x0)
@@ -312,21 +272,22 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
                 [_masked_l2(sp.curl(fk), ball_mask) for fk in data.f]
             )
             hyp += float(np.trapezoid(prof, times))
+    measured["eeta"] = hyp
     if hyp > delta * (1 + 1e-12):
-        raise ValueError(
-            f"(eeta): vorticity size of the data in the ball is {hyp:.6g} "
-            f"> delta = {delta}"
-        )
+        raise HypothesisError(
+            "eeta", f"vorticity size of the data in the ball is {hyp:.6g} "
+            f"> delta = {delta}", measured)
     small = delta**4 * T + delta**5 * np.sqrt(E) * T
+    measured["delta-4"] = float(small)
     if small > c * (1 + 1e-12):
-        raise ValueError(
-            f"(delta-4): delta^4 T + delta^5 E^(1/2) T = {small:.6g} > c = {c}"
-        )
+        raise HypothesisError(
+            "delta-4", f"delta^4 T + delta^5 E^(1/2) T = {small:.6g} > c = {c}",
+            measured)
     r_cond = E + np.sqrt(E) * T**0.25 + delta**-2
+    measured["r-large"] = float(r_cond)
     if r <= r_cond:
-        raise ValueError(
-            f"(r-large): r = {r} must exceed {r_cond:.6g}"
-        )
+        raise HypothesisError("r-large", f"r = {r} must exceed {r_cond:.6g}",
+                              measured)
 
     cutoff = ShrinkingCutoff(tuple(x0), R - r / 8.0, delta, c)
     sup_prof = np.array([sp.sup_norm(u) for u in traj.velocities])

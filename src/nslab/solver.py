@@ -36,6 +36,7 @@ __all__ = [
     "normalised_pressure",
     "picard_solve",
     "evolve",
+    "with_diagnostics",
     "with_pressures",
     "residual",
 ]
@@ -231,16 +232,21 @@ def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
     return dt, steps, states
 
 
-def _trajectory(data: DataTriple, cfg: SolverConfig, dt: float, steps,
-                states) -> Trajectory:
-    """The stored trajectory of a march: times n*dt and a diagnostic row
-    for each stored state; no pressures (see with_pressures)."""
-    times = [n * dt for n in steps]
+def _trajectory(cfg: SolverConfig, dt: float, steps, states) -> Trajectory:
+    """The stored trajectory of a march: times n*dt and their states; no
+    diagnostics or pressures (see with_diagnostics, with_pressures)."""
+    return Trajectory(np.array([n * dt for n in steps]), states, [],
+                      meta={"dt": dt, "eps": cfg.eps})
+
+
+def with_diagnostics(traj: Trajectory, data: DataTriple) -> Trajectory:
+    """traj with a diagnostic row for each stored state under the forcing
+    of data at its time, for the readers of the rows: the solve
+    experiment's CSV and the global energy identity."""
     rows = [(t, *_diag_row(u, _f_sample(data, t)))
-            for t, u in zip(times, states)]
-    diag = DiagnosticsTable(*(np.array(c) for c in zip(*rows)))
-    return Trajectory(np.array(times), states, [],
-                      diagnostics=diag, meta={"dt": dt, "eps": cfg.eps})
+            for t, u in zip(traj.times, traj.velocities)]
+    return replace(traj, diagnostics=DiagnosticsTable(
+        *(np.array(c) for c in zip(*rows))))
 
 
 def with_pressures(traj: Trajectory, data: DataTriple) -> Trajectory:
@@ -260,9 +266,9 @@ def _stiff_symbol(grid, eps):
 
 def evolve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     """Long-time stepping of the (hyper)dissipative system; no smallness
-    assumption.  The trajectory carries its diagnostics but no pressures
-    (see with_pressures)."""
-    return _trajectory(data, cfg, *_march(data, cfg))
+    assumption.  The trajectory carries neither diagnostics nor pressures
+    (see with_diagnostics, with_pressures)."""
+    return _trajectory(cfg, *_march(data, cfg))
 
 
 def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
@@ -272,7 +278,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     with the same exponential-integrator weights as evolve, measures the
     contraction factor in the X^1 norm, and returns the fixed point (with
     the factor and iteration count in traj.meta); like evolve's, the
-    trajectory carries its diagnostics but no pressures.
+    trajectory carries neither diagnostics nor pressures.
     """
     size = h1_data_norm(data)
     if size**4 * data.T > cfg.smallness_c:
@@ -315,7 +321,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
         current = nxt
         if dist < cfg.picard_tol * scale:
             steps = _stored_steps(n_steps, cfg.store_every)
-            traj = _trajectory(data, cfg, dt, steps, [nxt[n] for n in steps])
+            traj = _trajectory(cfg, dt, steps, [nxt[n] for n in steps])
             traj.meta["picard_iterations"] = it + 1
             traj.meta["contraction_factor"] = max(factors) if factors else 0.0
             return traj

@@ -85,7 +85,7 @@ class DataTriple:
 
 @dataclass
 class DiagnosticsTable:
-    """Scalar diagnostics, one row per stored step of the solver.
+    """Scalar diagnostics, one row per stored state of a trajectory.
 
     Every column is a sum over the stored coefficients, so a row costs no
     transform; the oversampled sup norm is left to the readers that need
@@ -120,7 +120,8 @@ class Trajectory:
     ``times`` are the stored sample times (strictly increasing, starting at
     the initial time).  ``pressures`` is empty or holds one pressure per
     stored time; the solver leaves it empty, and solver.with_pressures
-    fills it for the reader that needs it, solver.residual.
+    fills it for the reader that needs it, solver.residual.  Likewise
+    ``diagnostics`` stays None until solver.with_diagnostics fills it.
     ``pressure_linear``, when present, is a per-time constant vector a(t)
     representing a non-periodic pressure part x . a(t) introduced by
     Galilean-type symmetries.

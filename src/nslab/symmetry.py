@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .spaces import (DataTriple, DiagnosticsTable, Trajectory,
-                     cumulative_trapezoid)
+from .spaces import DataTriple, Trajectory, cumulative_trapezoid
 from .spectral import ScalarField, VectorField
 
 __all__ = [
-    "SymmetryTransform",
     "SpaceTranslate",
     "TimeTranslate",
     "Scale",
@@ -31,12 +29,8 @@ __all__ = [
 ]
 
 
-class SymmetryTransform:
-    """Base tag for the transform variants below."""
-
-
 @dataclass(frozen=True)
-class SpaceTranslate(SymmetryTransform):
+class SpaceTranslate:
     x0: tuple
 
     def __post_init__(self):
@@ -46,12 +40,12 @@ class SpaceTranslate(SymmetryTransform):
 
 
 @dataclass(frozen=True)
-class TimeTranslate(SymmetryTransform):
+class TimeTranslate:
     t0: float
 
 
 @dataclass(frozen=True)
-class Scale(SymmetryTransform):
+class Scale:
     lam: float
 
     def __post_init__(self):
@@ -60,7 +54,7 @@ class Scale(SymmetryTransform):
 
 
 @dataclass(frozen=True)
-class PressureShift(SymmetryTransform):
+class PressureShift:
     """Adds the constants C(t) (sampled on the subject's time grid) to the
     pressure."""
 
@@ -70,7 +64,7 @@ class PressureShift(SymmetryTransform):
         object.__setattr__(self, "C", tuple(float(c) for c in np.atleast_1d(self.C)))
 
 
-class Galilean(SymmetryTransform):
+class Galilean:
     """Moving-frame change u -> u(x - int v) + v with the non-periodic
     pressure correction -x . v'(t).  v, and v' when given, are samples
     evenly spaced over the subject's time span; one sample is a constant."""
@@ -114,7 +108,7 @@ class Galilean(SymmetryTransform):
 
 
 @dataclass(frozen=True)
-class Forcing(SymmetryTransform):
+class Forcing:
     """Adds a gradient forcing grad q and the matching pressure q; q is a
     list of scalar fields on the subject's forcing/stored time grid."""
 
@@ -142,19 +136,10 @@ def _add_mean(u: VectorField, vec) -> VectorField:
     return VectorField(u.grid, coeffs)
 
 
-def _scale_diagnostics(d: DiagnosticsTable, lam: float) -> DiagnosticsTable:
-    return DiagnosticsTable(
-        t=d.t * lam**2,
-        energy=d.energy * lam,
-        grad_sq=d.grad_sq / lam,
-        lap_sq=d.lap_sq / lam**3,
-        enstrophy=d.enstrophy / lam,
-        f_inner=d.f_inner / lam,
-    )
-
-
-def apply(transform: SymmetryTransform, subject):
-    """Apply a symmetry transform to a DataTriple or a Trajectory."""
+def apply(transform, subject):
+    """Apply a symmetry transform (one of the classes above) to a
+    DataTriple or a Trajectory.  A transformed trajectory carries no
+    diagnostics."""
     if isinstance(subject, DataTriple):
         return _apply_data(transform, subject)
     if isinstance(subject, Trajectory):
@@ -222,7 +207,6 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
             traj.times,
             [_phase_shift(u, tr.x0) for u in traj.velocities],
             [_phase_shift(p, tr.x0) for p in traj.pressures],
-            diagnostics=traj.diagnostics,
             pressure_linear=traj.pressure_linear,
         )
     if isinstance(tr, TimeTranslate):
@@ -233,18 +217,10 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
         if not np.any(keep):
             raise ValueError("time shift leaves no samples")
         idx = np.nonzero(keep)[0]
-        diag = traj.diagnostics
-        if diag is not None:
-            m = diag.t >= tr.t0 - 1e-12 * max(T, 1.0)
-            diag = DiagnosticsTable(
-                diag.t[m] - tr.t0, diag.energy[m], diag.grad_sq[m],
-                diag.lap_sq[m], diag.enstrophy[m], diag.f_inner[m],
-            )
         return Trajectory(
             traj.times[idx] - tr.t0,
             [traj.velocities[i] for i in idx],
             [traj.pressures[i] for i in idx] if traj.pressures else [],
-            diagnostics=diag,
             pressure_linear=(
                 traj.pressure_linear[idx]
                 if traj.pressure_linear is not None else None
@@ -258,10 +234,6 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
             traj.times * lam**2,
             [VectorField(g2, u.coeffs / lam) for u in traj.velocities],
             [ScalarField(g2, p.coeffs / lam**2) for p in traj.pressures],
-            diagnostics=(
-                _scale_diagnostics(traj.diagnostics, lam)
-                if traj.diagnostics is not None else None
-            ),
             pressure_linear=(
                 traj.pressure_linear / lam**3
                 if traj.pressure_linear is not None else None
@@ -279,7 +251,6 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
             coeffs[0, 0, 0] += c
             pressures.append(ScalarField(p.grid, coeffs))
         return Trajectory(traj.times, list(traj.velocities), pressures,
-                          diagnostics=traj.diagnostics,
                           pressure_linear=traj.pressure_linear)
     if isinstance(tr, Galilean):
         v, X, vd = tr.on_times(traj.times)
@@ -290,8 +261,7 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
         press = [_phase_shift(p, X[j]) for j, p in enumerate(traj.pressures)]
         lin = traj.pressure_linear
         lin = (np.zeros((len(traj), 3)) if lin is None else lin.copy()) - vd
-        return Trajectory(traj.times, vels, press, diagnostics=None,
-                          pressure_linear=lin)
+        return Trajectory(traj.times, vels, press, pressure_linear=lin)
     if isinstance(tr, Forcing):
         if len(tr.q) != len(traj):
             raise ValueError("forcing shift samples must match stored times")
@@ -300,7 +270,6 @@ def _apply_traj(tr, traj: Trajectory) -> Trajectory:
             for p, qk in zip(traj.pressures, tr.q)
         ]
         return Trajectory(traj.times, list(traj.velocities), press,
-                          diagnostics=traj.diagnostics,
                           pressure_linear=traj.pressure_linear)
     raise TypeError(f"unknown transform {type(tr).__name__}")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nslab import spectral as sp
-from nslab.solver import SolverConfig, evolve, with_pressures
+from nslab.solver import SolverConfig, evolve, with_diagnostics, with_pressures
 from nslab.spaces import DataTriple
 
 
@@ -56,8 +56,9 @@ def grid32():
 
 @pytest.fixture(scope="session")
 def short_run(grid16):
-    """One small trajectory, with its pressures, reused by the
-    diagnostics-oriented tests."""
+    """One small trajectory, with its pressures and diagnostics, reused by
+    the diagnostics-oriented tests."""
     data = DataTriple(random_divfree(grid16, seed=7, kmax=3), [], 0.02)
     cfg = SolverConfig(dt=5e-4)
-    return data, cfg, with_pressures(evolve(data, cfg), data)
+    return data, cfg, with_diagnostics(with_pressures(evolve(data, cfg), data),
+                                       data)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslab.bumps import chi_step, glue, lp_profile, radial_bump, smoothstep
+from nslab.bumps import glue, lp_profile, radial_bump, smoothstep
 
 
 def test_glue_endpoints():
@@ -59,14 +59,6 @@ def test_lp_profile_telescopes_to_one():
     assert np.allclose(total, 1.0, atol=1e-12)
 
 
-def test_chi_step_is_one_before_and_zero_after():
-    s = np.linspace(-3.0, 2.0, 501)
-    v = chi_step(s)
-    assert np.allclose(v[s <= -1.0], 1.0)
-    assert np.all(v[s >= 0.0] == 0.0)
-    assert np.all(np.diff(v) <= 1e-15)
-
-
 def test_radial_bump_flat_core_and_support():
     r = np.linspace(0.0, 2.0, 401)
     v = radial_bump(r, flat=0.5)
@@ -112,8 +104,6 @@ _PROFILES = {
     "smoothstep": (smoothstep, _smoothstep_full),
     "lp_profile": (lp_profile,
                    lambda r: _smoothstep_full(2.0 - np.asarray(r, float))),
-    "chi_step": (chi_step,
-                 lambda s: _smoothstep_full(-np.asarray(s, float))),
     "radial_bump": (radial_bump, _radial_bump_full),
     "radial_bump_flat0": (functools.partial(radial_bump, flat=0.0),
                           functools.partial(_radial_bump_full, flat=0.0)),

@@ -232,6 +232,10 @@ def test_rerun_is_byte_identical(tmp_path):
         == (b / "diagnostics.csv").read_bytes()
 
 
+# diagnostic rows each experiment makes for its 11 stored states
+ROWS_MADE = {"energy-budget": 11, "total-speed": 0, "solve": 11}
+
+
 @pytest.mark.parametrize("experiment, sups, pressures", [
     ("energy-budget", 0, 0),
     ("total-speed", 11, 0),
@@ -239,9 +243,10 @@ def test_rerun_is_byte_identical(tmp_path):
 ])
 def test_runs_make_only_the_sup_norms_and_pressures_they_read(
         tmp_path, monkeypatch, experiment, sups, pressures):
-    # the energy budget reads neither, the total speed only the sup norm
-    # of each of the 11 stored states, the solve's CSV and residual both
-    calls = {"sup": 0, "pressure": 0}
+    # of the 11 stored states, the energy budget reads only the diagnostic
+    # rows, the total speed only the sup norms, the solve's CSV and
+    # residual all three
+    calls = {"sup": 0, "pressure": 0, "row": 0}
 
     def counted(key, fn):
         def wrapped(*args, **kwargs):
@@ -252,13 +257,15 @@ def test_runs_make_only_the_sup_norms_and_pressures_they_read(
     monkeypatch.setattr(sp, "sup_norm", counted("sup", sp.sup_norm))
     monkeypatch.setattr(solver, "normalised_pressure",
                         counted("pressure", solver.normalised_pressure))
+    monkeypatch.setattr(solver, "_diag_row", counted("row", solver._diag_row))
     text = SOLVE_CFG.replace("experiment = solve",
                              f"experiment = {experiment}").replace(
         "solver.T = 0.01", "solver.T = 0.0025")
     _, code = run(parse_config(write_cfg(tmp_path, text)),
                   outdir=str(tmp_path / "out"))
     assert code == 0
-    assert calls == {"sup": sups, "pressure": pressures}
+    assert calls == {"sup": sups, "pressure": pressures,
+                     "row": ROWS_MADE[experiment]}
 
 
 def test_failed_verdict_exits_one(tmp_path):
@@ -424,13 +431,19 @@ ENSTROPHY_CFG = ("experiment = enstrophy-loc\ngrid.N = 16\n"
 def test_enstrophy_hypothesis_violation_is_a_tagged_fail(tmp_path):
     cfg = parse_config(write_cfg(tmp_path,
                                  ENSTROPHY_CFG + "harness.delta = 1e4\n"))
-    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    out = tmp_path / "out"
+    manifest, code = run(cfg, outdir=str(out))
     assert code == 1
     v = manifest.verdicts[0]
     assert v.name == "enstrophy-hypotheses"
     assert not v.passed
+    assert np.isnan(v.value)
     assert v.note == "delta-4"
-    assert manifest.hypotheses == {}
+    # the values measured up to the failing one reach the manifest
+    hyp = json.loads((out / "manifest.json").read_text())["hypotheses"]
+    assert hyp == manifest.hypotheses
+    assert set(hyp) == {"eeta", "delta-4"}
+    assert hyp["delta-4"] > 0.01
 
 
 def test_enstrophy_hypotheses_go_to_the_manifest_only(tmp_path):

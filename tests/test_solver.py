@@ -13,6 +13,7 @@ from nslab.solver import (
     normalised_pressure,
     picard_solve,
     residual,
+    with_diagnostics,
     with_pressures,
     _diag_row,
     _nonlinear,
@@ -281,10 +282,13 @@ def test_store_every_subsamples_but_keeps_endpoint(grid8):
     assert np.isclose(traj.times[-1], 0.01)
     assert np.allclose(np.diff(traj.times)[:-1], 3e-3)
     # steps 0, 3, 6, 9 and the endpoint 10: nothing between is kept
-    assert len(traj.velocities) == len(traj.diagnostics.t) == 5
-    # and the solver makes no pressure; with_pressures makes one per state
-    assert traj.pressures == []
+    assert len(traj.velocities) == 5
+    # and the solver makes no pressure and no diagnostic row;
+    # with_pressures and with_diagnostics make one per state
+    assert traj.pressures == [] and traj.diagnostics is None
     assert len(with_pressures(traj, data).pressures) == 5
+    assert np.array_equal(with_diagnostics(traj, data).diagnostics.t,
+                          traj.times)
 
 
 def test_energy_decreases_without_forcing(short_run):
@@ -377,10 +381,13 @@ def test_picard_diagnoses_only_the_returned_states(grid16, monkeypatch):
     monkeypatch.setattr(solver, "normalised_pressure",
                         counted("pressure", normalised_pressure))
     u = random_divfree(grid16, seed=11, kmax=2, amplitude=0.2)
-    traj = picard_solve(DataTriple(u, [], 0.005), SolverConfig(dt=5e-4))
+    data = DataTriple(u, [], 0.005)
+    traj = picard_solve(data, SolverConfig(dt=5e-4))
     assert traj.meta["picard_iterations"] >= 2
-    # a row for each returned state; the sup norm and the pressures are
-    # left to the readers that need them
+    # no row, no sup norm and no pressure: each is left to its readers
+    assert calls == {"row": 0, "sup": 0, "pressure": 0}
+    # and with_diagnostics makes a row for each returned state only
+    with_diagnostics(traj, data)
     assert calls == {"row": len(traj.times), "sup": 0, "pressure": 0}
 
 
@@ -398,7 +405,7 @@ def test_picard_store_every_subsamples_the_fixed_point_bit_for_bit(grid16):
     for j, n in enumerate(steps):
         assert np.array_equal(sparse.velocities[j].coeffs,
                               dense.velocities[n].coeffs)
-    d = sparse.diagnostics
+    d = with_diagnostics(sparse, data).diagnostics
     assert np.array_equal(d.t, sparse.times)
     pressures = with_pressures(sparse, data).pressures
     for j, (t, v) in enumerate(zip(sparse.times, sparse.velocities)):
@@ -437,7 +444,8 @@ def test_hyperdissipation_loses_energy_faster(grid16):
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
     plain = evolve(data, SolverConfig(dt=1e-3))
     hyper = evolve(data, SolverConfig(dt=1e-3, eps=1e-3))
-    assert hyper.diagnostics.energy[-1] < plain.diagnostics.energy[-1]
+    assert (with_diagnostics(hyper, data).diagnostics.energy[-1]
+            < with_diagnostics(plain, data).diagnostics.energy[-1])
 
 
 def test_residual_reads_the_hyperdissipation_from_the_trajectory(grid16):

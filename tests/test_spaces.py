@@ -16,7 +16,7 @@ from nslab.spaces import (
     sobolev_norm,
     xs_distance,
 )
-from nslab.solver import SolverConfig, evolve
+from nslab.solver import SolverConfig, evolve, with_diagnostics
 
 from conftest import random_divfree, random_vector
 
@@ -213,7 +213,8 @@ def test_enstrophy_of_single_mode(grid16):
     # the enstrophy column of the solver's diagnostics at t = 0
     k = 2
     u = single_mode(grid16, k)
-    traj = evolve(DataTriple(u, [], 1e-3), SolverConfig(dt=1e-3))
+    data = DataTriple(u, [], 1e-3)
+    traj = with_diagnostics(evolve(data, SolverConfig(dt=1e-3)), data)
     # curl of sin(2 pi k x) e_y has magnitude 2 pi k cos(...)
     expect = 0.5 * (2.0 * np.pi * k) ** 2 * sp.l2_norm(u) ** 2
     assert np.isclose(traj.diagnostics.enstrophy[0], expect, rtol=1e-10)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import spectral as sp
-from nslab.estimates import energy_budget
-from nslab.solver import SolverConfig, evolve, residual, with_pressures
+from nslab.estimates import energy_identity
+from nslab.solver import (SolverConfig, evolve, residual, with_diagnostics,
+                          with_pressures)
 from nslab.spaces import DataTriple, Trajectory, energy
 from nslab.symmetry import (
     Forcing,
@@ -180,9 +181,10 @@ def test_trajectory_transforms_carry_the_meta(grid16):
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
     traj = evolve(data, SolverConfig(dt=dt, eps=eps))
     for tr in (SpaceTranslate((0.21, 0.13, 0.34)), Scale(2.0)):
-        moved = apply(tr, traj)
-        rep = energy_budget(moved, None, apply(tr, data))
-        assert rep.rhs_terms["defect"] <= 1e-6
+        moved_data = apply(tr, data)
+        moved = with_diagnostics(apply(tr, traj), moved_data)
+        defect, _ = energy_identity(moved, moved_data)
+        assert defect <= 1e-6
     scaled = apply(Scale(2.0), traj).meta
     assert scaled["eps"] == 4.0 * eps
     assert scaled["dt"] == 4.0 * dt
