@@ -30,14 +30,16 @@ from .estimates import (
     StaticCutoff,
     energy_budget,
     energy_identity,
+    enstrophy_hypotheses,
     enstrophy_localisation,
     total_speed,
 )
 from .packet import (WavePacketSpec, _centered_offsets, check_study,
                      growth_study, wave_packet)
-from .solver import (SolverConfig, _diag_row, evolve, picard_solve, residual,
+from .solver import (SolverConfig, _diag_row, _time_grid, diagnostics_table,
+                     evolve, march, picard_solve, recording_rows, residual,
                      with_diagnostics, with_pressures)
-from .spaces import DataTriple, sobolev_norm
+from .spaces import DataTriple, Trajectory, sobolev_norm
 from .symmetry import (
     Forcing,
     Galilean,
@@ -526,10 +528,9 @@ def _write_verdicts(art, verdicts):
             fh.write(v.line() + "\n")
 
 
-def _solve_trajectory(cfg: ExperimentConfig, grid):
-    """(data, trajectory) of the run a config names.  The solver's
-    parameters and method are checked first, so that a bad one is a config
-    error before any data is generated."""
+def _solver(cfg: ExperimentConfig):
+    """(SolverConfig, method) of a config, checked, so that a bad parameter
+    or method is a config error before any data is generated."""
     scfg = _checked(
         cfg, SolverConfig,
         dt=cfg.get("solver.dt"),
@@ -540,11 +541,31 @@ def _solve_trajectory(cfg: ExperimentConfig, grid):
            if "solver." + k in cfg.values},
     )
     method = cfg.get("solver.method")
-    solve = {"evolve": evolve, "picard": picard_solve}.get(method)
-    if solve is None:
+    if method not in ("evolve", "picard"):
         raise ConfigError(f"unknown solver method {method!r}")
+    return scfg, method
+
+
+def _solve(data, scfg, method):
+    return {"evolve": evolve, "picard": picard_solve}[method](data, scfg)
+
+
+def _solve_trajectory(cfg: ExperimentConfig, grid):
+    """(data, trajectory) of the run a config names."""
+    scfg, method = _solver(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
-    return data, solve(data, scfg)
+    return data, _solve(data, scfg, method)
+
+
+def _solve_states(cfg: ExperimentConfig, grid):
+    """(data, states): the (t, u) of each stored state of the run a config
+    names, streamed from the march, or read off a Picard fixed point."""
+    scfg, method = _solver(cfg)
+    data = generate_data(cfg.get("data.kind"), cfg, grid)
+    if method == "evolve":
+        return data, march(data, scfg)
+    traj = _solve(data, scfg, method)
+    return data, zip(traj.times, traj.velocities)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +598,24 @@ def _exp_energy_budget(cfg, art, baselines):
         if region not in ENERGY_REGIONS:
             raise ConfigError(f"{cfg.source}: unknown harness.region {region!r}"
                               f"; choose from {', '.join(ENERGY_REGIONS)}")
-    data, traj = _solve_trajectory(cfg, grid)
-    traj = with_diagnostics(traj, data)
-    d = traj.diagnostics
+    data, states = _solve_states(cfg, grid)
+    # one pass over the states: each state's row is recorded as it passes
+    # on to the local budget
+    rows = []
+    states = recording_rows(states, data, rows)
+    if cut is None:
+        for _ in states:
+            pass
+    else:
+        local = energy_budget(states, cut, data, region=region)
+    d = diagnostics_table(rows)
     np.savetxt(art.path("budget_global.csv"), np.column_stack([d.t, d.energy]),
                delimiter=",", header="t,energy", comments="")
-    defect, ratio = energy_identity(traj, data)
+    defect, ratio = energy_identity(d, cfg.get("solver.eps"), data)
     verdicts = [Verdict("global-budget",
                         defect <= 1e-4 and ratio <= 1.0 + 1e-4, defect, 1e-4,
                         note="ul2-en")]
     if cut is not None:
-        local = energy_budget(traj, cut, data, region=region)
         thr_local = baselines["local_energy_ratio_max"]
         verdicts.append(Verdict(f"local-budget-{region}", local <= thr_local,
                                 local, thr_local, note="local-energy"))
@@ -595,8 +623,13 @@ def _exp_energy_budget(cfg, art, baselines):
 
 
 def _exp_total_speed(cfg, art, baselines):
-    data, traj = _solve_trajectory(cfg, _grid(cfg))
-    value, ratio = total_speed(traj, data)
+    grid = _grid(cfg)
+    T = cfg.get("solver.T")
+    if T > grid.L**2 * (1.0 + 1e-12):
+        raise ConfigError(f"{cfg.source}: the total speed bound needs "
+                          f"T <= L^2; got solver.T = {T}, L^2 = {grid.L**2}")
+    data, states = _solve_states(cfg, grid)
+    value, ratio = total_speed(states, data)
     np.savetxt(art.path("total_speed.csv"),
                np.array([[value, ratio]]), delimiter=",",
                header="integral_sup,ratio", comments="")
@@ -605,19 +638,22 @@ def _exp_total_speed(cfg, art, baselines):
 
 
 def _exp_enstrophy(cfg, art, baselines):
-    data, traj = _solve_trajectory(cfg, _grid(cfg))
+    grid = _grid(cfg)
+    scfg, method = _solver(cfg)
+    data = generate_data(cfg.get("data.kind"), cfg, grid)
     ball = (cfg.require("harness.x0"), cfg.require("harness.R"))
+    delta, c, r = (cfg.require("harness." + k) for k in ("delta", "c", "r"))
+    # the hypotheses need the data and the horizon only, so they are
+    # checked before the solve, over the march's last stored time
+    n_steps, dt = _time_grid(data, scfg)
     try:
-        rep = enstrophy_localisation(
-            traj, ball, cfg.require("harness.delta"),
-            cfg.require("harness.c"), cfg.require("harness.r"), data)
+        art.hypotheses = enstrophy_hypotheses(ball, delta, c, r, data,
+                                              n_steps * dt)
     except HypothesisError as exc:
         art.hypotheses = exc.measured
         return [Verdict("enstrophy-hypotheses", False, float("nan"),
                         float("nan"), note=exc.tag)]
-    art.hypotheses = {"eeta": rep.hypothesis_value,
-                      "delta-4": rep.smallness_value,
-                      "r-large": rep.r_condition_value}
+    rep = enstrophy_localisation(_solve(data, scfg, method), ball, delta, c, r)
     np.savetxt(art.path("enstrophy.csv"),
                np.column_stack([rep.times, rep.W, rep.radius_path]),
                delimiter=",", header="t,W,R_prime", comments="")
@@ -772,23 +808,32 @@ def _exp_symmetry(cfg, art, baselines):
         rows.append((name, base, r, increase))
         verdicts.append(Verdict(f"residual-{name}", increase <= 1e-6,
                                 increase, 1e-6))
+        # one transformed image at a time
+        del t_traj
     with open(art.path("symmetry.csv"), "w") as fh:
         fh.write("transform,base_residual,residual,increase\n")
         for name, b, r, inc in rows:
             fh.write(f"{name},{b:.17e},{r:.17e},{inc:.17e}\n")
-    # energies by the diagnostic row's sums, which a power-of-two scaling
-    # maps exactly (spaces.energy reads 2 +- 4e-16 on some data)
-    scaled = apply(Scale(2.0), traj)
+    # each of the last two verdicts reads one state, so only that state is
+    # transformed; energies by the diagnostic row's sums, which a
+    # power-of-two scaling maps exactly (spaces.energy reads 2 +- 4e-16 on
+    # some data)
+    scaled = apply(Scale(2.0), _one_state(traj, 0))
     e_ratio = (_diag_row(scaled.velocities[0], None)[0]
                / _diag_row(traj.velocities[0], None)[0])
     verdicts.append(Verdict("scale-energy", abs(e_ratio - 2.0) <= 1e-6,
                             float(e_ratio), 2.0, note="scaling"))
     mean_def = float(np.max(np.abs(np.real(
         apply(SpaceTranslate((0.3 * L, 0.1 * L, 0.7 * L)),
-              traj).velocities[-1].mean()))))
+              _one_state(traj, -1)).velocities[0].mean()))))
     verdicts.append(Verdict("mean-zero", mean_def <= 1e-12, mean_def, 1e-12,
                             note="meanzero-3"))
     return verdicts
+
+
+def _one_state(traj, j):
+    """The trajectory of traj's state j alone."""
+    return Trajectory(traj.times[[j]], [traj.velocities[j]], [])
 
 
 _DISPATCH = {

@@ -1,4 +1,4 @@
-"""Quantitative diagnostics on solver trajectories.
+"""Quantitative diagnostics on solver runs.
 
 Implements the localisation machinery: the global energy identity, the
 local energy budget on the regions of a static annulus cutoff, the
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .spaces import (DataTriple, Trajectory, cumulative_simpson,
-                     cumulative_trapezoid, energy)
+from .spaces import (DataTriple, DiagnosticsTable, Trajectory,
+                     cumulative_simpson, cumulative_trapezoid, energy)
 from .spectral import VectorField
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "energy_identity",
     "energy_budget",
     "total_speed",
+    "enstrophy_hypotheses",
     "enstrophy_localisation",
 ]
 
@@ -93,13 +94,10 @@ class ShrinkingCutoff:
 
 @dataclass
 class EnstrophyReport:
-    """Shrinking-cutoff enstrophy trace and the hypothesis/conclusion data."""
+    """Shrinking-cutoff enstrophy trace and the conclusion data."""
 
     times: np.ndarray
     W: np.ndarray
-    hypothesis_value: float      # vorticity size of the data in the ball
-    smallness_value: float       # delta^4 T + delta^5 E^{1/2} T
-    r_condition_value: float     # E + E^{1/2} T^{1/4} + delta^{-2} (C = 1)
     conclusion_ratio: float      # conclusion lhs / delta
     tax_violation: float
     radius_path: np.ndarray
@@ -110,8 +108,8 @@ class EnstrophyReport:
 
 
 class HypothesisError(ValueError):
-    """A hypothesis of enstrophy_localisation that fails, by its inequality
-    tag; ``measured`` holds the hypothesis values measured up to and
+    """A hypothesis of the enstrophy localisation that fails, by its
+    inequality tag; ``measured`` holds the hypothesis values measured up to and
     including it, by tag."""
 
     def __init__(self, tag, detail, measured):
@@ -153,22 +151,22 @@ def _data_energy(data: DataTriple) -> float:
                              data.T))
 
 
-def energy_identity(traj: Trajectory, data: DataTriple) -> tuple:
+def energy_identity(d: DiagnosticsTable, eps: float,
+                    data: DataTriple) -> tuple:
     """(defect, ratio) of the global energy identity, in units of E.
 
-    From the trajectory's diagnostic rows, lhs(t) = energy + the integrated
-    dissipation - the integrated work of the forcing; the defect is its
-    largest drift from lhs(0), the ratio its largest value.  The
-    trajectory must carry its diagnostics (see solver.with_diagnostics).
+    From the diagnostic rows d of a run with hyperdissipation coefficient
+    eps, lhs(t) = energy + the integrated dissipation - the integrated
+    work of the forcing; the defect is its largest drift from lhs(0), the
+    ratio its largest value.  A trajectory's rows are None until
+    solver.with_diagnostics makes them.
     """
-    d = traj.diagnostics
     if d is None:
         raise ValueError("the energy identity needs the trajectory's "
                          "diagnostics; see with_diagnostics")
     E = _data_energy(data)
     lhs = (d.energy + cumulative_simpson(d.grad_sq, d.t)
            - cumulative_simpson(d.f_inner, d.t))
-    eps = traj.meta.get("eps", 0.0)
     if eps:
         # the hyperdissipation drains eps ||Delta u||^2 as well
         lhs += eps * cumulative_simpson(d.lap_sq, d.t)
@@ -177,17 +175,20 @@ def energy_identity(traj: Trajectory, data: DataTriple) -> tuple:
     return float(np.max(np.abs(lhs - lhs[0])) / E), float(np.max(lhs) / E)
 
 
-def energy_budget(traj: Trajectory, cutoff: StaticCutoff, data: DataTriple,
+def energy_budget(states, cutoff: StaticCutoff, data: DataTriple,
                   region: str = "ball") -> float:
-    """Local energy budget of a trajectory: the ratio of sup_t ||u||_L2 +
+    """Local energy budget of a run: the ratio of sup_t ||u||_L2 +
     ||grad u||_L2L2 in the inner region B(x0, R-r) (or, with
     region="exterior", outside B(x0, R+r)) to the data-plus-energy bound
-    with the r-dependent leakage terms."""
+    with the r-dependent leakage terms.
+
+    states is an iterable of (t, u), such as solver.march; each state is
+    reduced as it arrives and none is held.
+    """
     if region not in ENERGY_REGIONS:
         raise ValueError(f"unknown region {region!r}")
     E = _data_energy(data)
-    T = traj.T - traj.times[0]
-    grid = traj.grid
+    grid = data.grid
     d_grid = periodic_distance(grid, cutoff.center)
     if region == "ball":
         inner = d_grid <= cutoff.R - cutoff.r
@@ -196,11 +197,14 @@ def energy_budget(traj: Trajectory, cutoff: StaticCutoff, data: DataTriple,
         inner = d_grid >= cutoff.R + cutoff.r
         outer = d_grid >= cutoff.R
 
-    inner_l2, grad_prof = [], []
-    for u in traj.velocities:
+    times, inner_l2, grad_prof = [], [], []
+    for t, u in states:
+        times.append(t)
         inner_l2.append(_masked_l2(u, inner))
         grad_prof.append(np.sum(_grad_samples_sq(u) * inner) * grid.cell_volume)
-    lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
+    times = np.array(times)
+    T = times[-1] - times[0]
+    lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, times)))
     # summed from 0 in this order (data, forcing, the two leakage terms),
     # the order the local ratio's recorded bits come from
     rhs = sum((_masked_l2(data.u0, outer), _f_l1_l2(data, outer),
@@ -208,45 +212,45 @@ def energy_budget(traj: Trajectory, cutoff: StaticCutoff, data: DataTriple,
     return float(lhs / rhs) if rhs > 0 else 0.0
 
 
-def total_speed(traj: Trajectory, data: DataTriple):
+def total_speed(states, data: DataTriple):
     """Accumulated sup-norm and its ratio to E^{1/2} T^{1/4} + E.
 
-    The oversampled sup norm of each stored velocity is integrated over the
+    states is an iterable of (t, u), such as solver.march; the oversampled
+    sup norm of each state is taken as it arrives and integrated over the
     stored times.  Requires T <= L^2 (the regime where the bound is
-    meaningful); a trajectory that carries pressures must carry normalised
-    (mean-zero) ones.  The total speed has no pressure in it, so none is
-    made here.
+    meaningful), checked before the first state is drawn.
     """
-    grid = traj.grid
-    T = traj.T - traj.times[0]
-    if T > grid.L**2 * (1.0 + 1e-12):
+    grid = data.grid
+    if data.T > grid.L**2 * (1.0 + 1e-12):
         raise ValueError(
-            f"total speed bound needs T <= L^2; got T={T}, L^2={grid.L ** 2}"
+            f"total speed bound needs T <= L^2; got T={data.T}, "
+            f"L^2={grid.L ** 2}"
         )
-    for p in traj.pressures:
-        if abs(p.coeffs[0, 0, 0]) > 1e-10 * max(1.0, np.max(np.abs(p.coeffs))):
-            raise ValueError("total speed bound needs normalised pressure")
-    prof = np.array([sp.sup_norm(u) for u in traj.velocities])
-    value = float(np.trapezoid(prof, traj.times))
+    times, prof = [], []
+    for t, u in states:
+        times.append(t)
+        prof.append(sp.sup_norm(u))
+    times = np.array(times)
+    T = times[-1] - times[0]
+    value = float(np.trapezoid(np.array(prof), times))
     E = energy(data)
     bound = np.sqrt(E) * T**0.25 + E
     ratio = value / bound if bound > 0 else 0.0
     return value, float(ratio)
 
 
-def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
-                           r: float, data: DataTriple) -> EnstrophyReport:
-    """Shrinking-cutoff enstrophy tracking inside a ball.
+def enstrophy_hypotheses(ball, delta: float, c: float, r: float,
+                         data: DataTriple, T: float) -> dict:
+    """The hypotheses of the enstrophy localisation over [0, T], measured
+    by inequality tag: small vorticity of the data in the ball (eeta);
+    smallness of delta^4 T + delta^5 E^{1/2} T (delta-4); the lower bound
+    on r (r-large); and the geometric conditions T <= L^2 and R <= L.
 
-    Verifies the hypotheses (small vorticity of the data in the ball;
-    smallness of delta^4 T + delta^5 E^{1/2} T; the lower bound on r; the
-    geometric conditions T <= L^2 and R <= L), then tracks the localised
-    enstrophy W(t), checks the recession inequality for the cutoff, and
-    measures the conclusion in units of delta.
+    They depend on the data and the horizon only, so a run checks them
+    before it solves.  Raises HypothesisError at the first that fails.
     """
     x0, R = ball
-    grid = traj.grid
-    T = traj.T - traj.times[0]
+    grid = data.grid
     E = energy(data)
 
     measured = {}
@@ -262,8 +266,7 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
             "l1x", f"total speed bound needs T <= L^2, got T={T}", measured)
 
     omega0 = sp.curl(data.u0)
-    d_grid = periodic_distance(grid, x0)
-    ball_mask = d_grid <= R
+    ball_mask = periodic_distance(grid, x0) <= R
     hyp = _masked_l2(omega0, ball_mask)
     if data.f:
         times = data.f_times()
@@ -288,6 +291,20 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
     if r <= r_cond:
         raise HypothesisError("r-large", f"r = {r} must exceed {r_cond:.6g}",
                               measured)
+    return measured
+
+
+def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
+                           r: float) -> EnstrophyReport:
+    """Shrinking-cutoff enstrophy tracking inside a ball.
+
+    Tracks the localised enstrophy W(t), checks the recession inequality
+    for the cutoff, and measures the conclusion in units of delta.  The
+    caller checks the hypotheses first, with enstrophy_hypotheses.
+    """
+    x0, R = ball
+    grid = traj.grid
+    d_grid = periodic_distance(grid, x0)
 
     cutoff = ShrinkingCutoff(tuple(x0), R - r / 8.0, delta, c)
     sup_prof = np.array([sp.sup_norm(u) for u in traj.velocities])
@@ -333,9 +350,6 @@ def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
     return EnstrophyReport(
         times=traj.times,
         W=W,
-        hypothesis_value=hyp,
-        smallness_value=float(small),
-        r_condition_value=float(r_cond),
         conclusion_ratio=lhs / delta,
         tax_violation=tax_violation,
         radius_path=radii,

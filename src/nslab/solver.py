@@ -36,6 +36,9 @@ __all__ = [
     "normalised_pressure",
     "picard_solve",
     "evolve",
+    "march",
+    "recording_rows",
+    "diagnostics_table",
     "with_diagnostics",
     "with_pressures",
     "residual",
@@ -184,35 +187,34 @@ def _f_sample(data: DataTriple, t):
     return data.f_at(t) if data.f else None
 
 
+def _time_grid(data: DataTriple, cfg: SolverConfig):
+    """(n_steps, dt): the steps over [0, T] and their size; the march's
+    last stored time is n_steps * dt."""
+    n_steps = _steps_for(data.T, cfg.dt)
+    return n_steps, data.T / n_steps
+
+
 def _step_setup(data: DataTriple, cfg: SolverConfig):
     """(n_steps, dt, half, full): the steps over [0, T], their size, and the
     integrating factors over half a step and over a whole one."""
-    n_steps = _steps_for(data.T, cfg.dt)
-    dt = data.T / n_steps
+    n_steps, dt = _time_grid(data, cfg)
     half = np.exp(0.5 * dt * _stiff_symbol(data.grid, cfg.eps))
     return n_steps, dt, half, half * half
 
 
-def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
+def _sweep(data: DataTriple, cfg: SolverConfig, picard_source):
     """Integrating-factor midpoint march over [0, T].
 
-    Returns (dt, steps, states): the stored step indices and the states at
-    those steps.  When picard_source (a list of per-step states) is given,
+    Yields (n, t, u) for the data (n = 0) and after every step n, with
+    t = n * dt.  When picard_source (a list of per-step states) is given,
     the midpoint predictor is built from those states instead of the
     evolving solution, which turns the march into one application of the
-    Picard map; every step's state is then returned.
+    Picard map.
     """
     grid = data.grid
     n_steps, dt, half, full = _step_setup(data, cfg)
     u = sp.dealias(data.u0)
-
-    if picard_source is not None:
-        steps = list(range(n_steps + 1))
-    else:
-        steps = _stored_steps(n_steps, cfg.store_every)
-    keep_set = set(steps)
-
-    states = [u]
+    yield 0, 0.0, u
     for n in range(n_steps):
         t = n * dt
         f_now = _f_sample(data, t)
@@ -227,26 +229,51 @@ def _march(data: DataTriple, cfg: SolverConfig, picard_source=None):
             full * u.coeffs + dt * half * _nonlinear(stage, f_mid).coeffs,
         )
         _check_finite(u, n + 1)
-        if (n + 1) in keep_set:
-            states.append(u)
-    return dt, steps, states
+        yield n + 1, (n + 1) * dt, u
 
 
-def _trajectory(cfg: SolverConfig, dt: float, steps, states) -> Trajectory:
-    """The stored trajectory of a march: times n*dt and their states; no
-    diagnostics or pressures (see with_diagnostics, with_pressures)."""
-    return Trajectory(np.array([n * dt for n in steps]), states, [],
+def march(data: DataTriple, cfg: SolverConfig):
+    """Yields (t, u) at the stored steps of the march over [0, T]: every
+    cfg.store_every-th step and the last one.  A reader that needs one
+    number per state can reduce each as it arrives and hold none."""
+    keep = set(_stored_steps(_time_grid(data, cfg)[0], cfg.store_every))
+    for n, t, u in _sweep(data, cfg, None):
+        if n in keep:
+            yield t, u
+
+
+def _trajectory(cfg: SolverConfig, dt: float, times, states) -> Trajectory:
+    """A trajectory of stored times and their states; no diagnostics or
+    pressures (see with_diagnostics, with_pressures)."""
+    return Trajectory(np.array(times), states, [],
                       meta={"dt": dt, "eps": cfg.eps})
+
+
+def _row(t, u: VectorField, data: DataTriple):
+    """(t, *_diag_row) of the state u at time t under the forcing of data."""
+    return (t, *_diag_row(u, _f_sample(data, t)))
+
+
+def diagnostics_table(rows) -> DiagnosticsTable:
+    """The DiagnosticsTable of rows made by recording_rows."""
+    return DiagnosticsTable(*(np.array(c) for c in zip(*rows)))
+
+
+def recording_rows(states, data: DataTriple, rows: list):
+    """Passes each (t, u) of states on, after appending its diagnostic row
+    under the forcing of data at t to rows, so that one pass over a march
+    serves both the rows and another reduction."""
+    for t, u in states:
+        rows.append(_row(t, u, data))
+        yield t, u
 
 
 def with_diagnostics(traj: Trajectory, data: DataTriple) -> Trajectory:
     """traj with a diagnostic row for each stored state under the forcing
     of data at its time, for the readers of the rows: the solve
     experiment's CSV and the global energy identity."""
-    rows = [(t, *_diag_row(u, _f_sample(data, t)))
-            for t, u in zip(traj.times, traj.velocities)]
-    return replace(traj, diagnostics=DiagnosticsTable(
-        *(np.array(c) for c in zip(*rows))))
+    return replace(traj, diagnostics=diagnostics_table(
+        [_row(t, u, data) for t, u in zip(traj.times, traj.velocities)]))
 
 
 def with_pressures(traj: Trajectory, data: DataTriple) -> Trajectory:
@@ -266,9 +293,14 @@ def _stiff_symbol(grid, eps):
 
 def evolve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     """Long-time stepping of the (hyper)dissipative system; no smallness
-    assumption.  The trajectory carries neither diagnostics nor pressures
-    (see with_diagnostics, with_pressures)."""
-    return _trajectory(cfg, *_march(data, cfg))
+    assumption: the stored states of march, held.  The trajectory carries
+    neither diagnostics nor pressures (see with_diagnostics,
+    with_pressures)."""
+    times, states = [], []
+    for t, u in march(data, cfg):
+        times.append(t)
+        states.append(u)
+    return _trajectory(cfg, _time_grid(data, cfg)[1], times, states)
 
 
 def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
@@ -307,7 +339,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     times = np.arange(n_steps + 1) * dt
     scale = max(1.0, sobolev_norm(u0, 1.0))
     for it in range(cfg.picard_max_iters):
-        _, _, nxt = _march(data, cfg, picard_source=current)
+        nxt = [u for _, _, u in _sweep(data, cfg, current)]
         dist = xs_distance(
             Trajectory(times, current, []), Trajectory(times, nxt, [])
         )
@@ -321,7 +353,8 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
         current = nxt
         if dist < cfg.picard_tol * scale:
             steps = _stored_steps(n_steps, cfg.store_every)
-            traj = _trajectory(cfg, dt, steps, [nxt[n] for n in steps])
+            traj = _trajectory(cfg, dt, [n * dt for n in steps],
+                               [nxt[n] for n in steps])
             traj.meta["picard_iterations"] = it + 1
             traj.meta["contraction_factor"] = max(factors) if factors else 0.0
             return traj

@@ -39,6 +39,12 @@ def random_scalar(grid, seed=0, kmax=None, slope=-2.0):
     return sp.scalar_from_coeffs(grid, coeffs * weight)
 
 
+def states(traj):
+    """The (t, u) of each stored state of traj, as the reductions read
+    them."""
+    return zip(traj.times, traj.velocities)
+
+
 @pytest.fixture(scope="session")
 def grid8():
     return sp.make_grid(1.0, 8)

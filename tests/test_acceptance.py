@@ -22,7 +22,7 @@ from nslab.solver import (SolverConfig, evolve, picard_solve, residual,
 from nslab.spaces import DataTriple, h1_data_norm, sobolev_norm, xs_distance
 from nslab.symmetry import Scale, apply
 
-from conftest import random_divfree, random_scalar, random_vector
+from conftest import random_divfree, random_scalar, random_vector, states
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -189,8 +189,8 @@ def test_bounded_total_speed_suite(tmp_path, grid16):
     data = DataTriple(random_divfree(grid16, seed=9, kmax=3,
                                      amplitude=0.3), [], 0.1)
     traj = evolve(data, SolverConfig(dt=1e-3))
-    _, ratio = total_speed(traj, data)
-    _, scaled_ratio = total_speed(apply(Scale(2.0), traj),
+    _, ratio = total_speed(states(traj), data)
+    _, scaled_ratio = total_speed(states(apply(Scale(2.0), traj)),
                                   apply(Scale(2.0), data))
     drift = abs(scaled_ratio - ratio) / ratio
     report("bounded-total-speed",

@@ -3,6 +3,7 @@ artifacts, exit codes, and byte-identical reruns."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,39 @@ def test_runs_make_only_the_sup_norms_and_pressures_they_read(
                      "row": ROWS_MADE[experiment]}
 
 
+# the total-speed run reads no harness key
+STREAM_CFG = """\
+experiment = {experiment}
+grid.N = 16
+data.kind = random-band
+data.seed = 3
+data.amplitude = 0.2
+solver.dt = 1e-4
+solver.T = {T}
+harness.x0 = 0.5, 0.5, 0.5
+harness.R = 0.3
+harness.r = 0.1
+"""
+
+
+@pytest.mark.parametrize("experiment", ["total-speed", "energy-budget"])
+def test_streamed_runs_hold_no_stored_states(tmp_path, experiment):
+    # held, 201 stored N=16 states (110 kB each) would raise the traced
+    # peak about tenfold over 21; reduced as they arrive, they add nothing
+    peaks = []
+    for T in ("0.002", "0.02"):  # 21 and 201 stored states
+        cfg = parse_config(write_cfg(
+            tmp_path, STREAM_CFG.format(experiment=experiment, T=T)))
+        tracemalloc.start()
+        try:
+            manifest, _ = run(cfg, outdir=str(tmp_path / f"out{T}"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert manifest.error == ""
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 def test_failed_verdict_exits_one(tmp_path):
     cfg = parse_config(write_cfg(tmp_path,
                                  SOLVE_CFG + "tol.residual = 1e-30\n"))
@@ -304,15 +338,16 @@ def test_unexpected_error_exits_three_and_writes_the_manifest(
     assert payload["error"] == manifest.error
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_abort_exits_three(tmp_path):
-    # a horizon longer than L^2 violates the total-speed precondition,
-    # which surfaces as a numerical abort rather than a verdict
+    # data so large that the march overflows within a few steps: the
+    # non-finite state surfaces as a numerical abort rather than a verdict
     text = ("experiment = total-speed\ngrid.N = 8\ndata.kind = random-band\n"
-            "data.amplitude = 0.05\nsolver.dt = 5e-2\nsolver.T = 1.5\n")
+            "data.amplitude = 1e6\nsolver.dt = 5e-2\nsolver.T = 0.5\n")
     cfg = parse_config(write_cfg(tmp_path, text))
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 3
-    assert manifest.error.startswith("numerical abort")
+    assert manifest.error.startswith("numerical abort: non-finite velocity")
 
 
 def test_odd_resolution_exits_two(tmp_path):
@@ -356,7 +391,7 @@ def test_bad_solver_step_exits_two_before_the_data(tmp_path, monkeypatch):
 
 
 def test_bad_energy_cutoff_exits_two_before_the_solve(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_solve_trajectory", _must_not_run)
+    monkeypatch.setattr(cli, "_solve_states", _must_not_run)
     text = ("experiment = energy-budget\ngrid.N = 8\n"
             "data.kind = random-band\ndata.amplitude = 0.1\n"
             "solver.dt = 1e-3\nsolver.T = 0.002\n"
@@ -365,6 +400,18 @@ def test_bad_energy_cutoff_exits_two_before_the_solve(tmp_path, monkeypatch):
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 2
     assert "need 0 < r < R/2" in manifest.error
+
+
+def test_long_total_speed_horizon_exits_two_before_the_data(tmp_path,
+                                                            monkeypatch):
+    # the total-speed bound needs T <= L^2, known from the config alone
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    text = ("experiment = total-speed\ngrid.N = 8\ndata.kind = random-band\n"
+            "data.amplitude = 0.05\nsolver.dt = 5e-2\nsolver.T = 1.5\n")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert "needs T <= L^2" in manifest.error
 
 
 def test_unknown_region_exits_two_before_the_data(tmp_path, monkeypatch):
@@ -444,6 +491,21 @@ def test_enstrophy_hypothesis_violation_is_a_tagged_fail(tmp_path):
     assert hyp == manifest.hypotheses
     assert set(hyp) == {"eeta", "delta-4"}
     assert hyp["delta-4"] > 0.01
+
+
+def test_enstrophy_hypothesis_violation_is_found_before_the_solve(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "evolve", _must_not_run)
+    cfg = parse_config(write_cfg(tmp_path,
+                                 ENSTROPHY_CFG + "harness.delta = 1e4\n"))
+    manifest, code = run(cfg, outdir=str(tmp_path / "out"))
+    assert code == 1
+    assert manifest.error == ""
+    v = manifest.verdicts[0]
+    assert (v.name, v.passed, v.note) == ("enstrophy-hypotheses", False,
+                                          "delta-4")
+    assert set(manifest.hypotheses) == {"eeta", "delta-4"}
+    assert manifest.hypotheses["delta-4"] > 0.01
 
 
 def test_enstrophy_hypotheses_go_to_the_manifest_only(tmp_path):

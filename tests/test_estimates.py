@@ -10,14 +10,15 @@ from nslab.estimates import (
     StaticCutoff,
     energy_budget,
     energy_identity,
+    enstrophy_hypotheses,
     enstrophy_localisation,
     periodic_distance,
     total_speed,
 )
-from nslab.solver import SolverConfig, evolve, with_diagnostics
+from nslab.solver import SolverConfig, evolve, march, with_diagnostics
 from nslab.spaces import DataTriple, Trajectory
 
-from conftest import random_divfree
+from conftest import random_divfree, states
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,7 @@ def test_shrinking_cutoff_radius_never_grows():
 
 def test_global_energy_identity_holds(short_run):
     data, _, traj = short_run
-    defect, ratio = energy_identity(traj, data)
+    defect, ratio = energy_identity(traj.diagnostics, traj.meta["eps"], data)
     assert defect <= 1e-4
     # unforced, the balance starts at the data's energy and keeps it
     assert abs(ratio - 1.0) <= 1e-4
@@ -68,7 +69,7 @@ def test_global_energy_identity_counts_the_hyperdissipation(grid16, eps):
     # without the eps ||Delta u||^2 term the defect reads 7e-3 and 6e-2
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
     traj = with_diagnostics(evolve(data, SolverConfig(dt=1e-4, eps=eps)), data)
-    defect, ratio = energy_identity(traj, data)
+    defect, ratio = energy_identity(traj.diagnostics, eps, data)
     assert defect <= 1e-6
     assert ratio <= 1.0 + 1e-4
 
@@ -77,20 +78,20 @@ def test_global_energy_identity_needs_diagnostics(grid16):
     u = random_divfree(grid16, seed=1)
     traj = Trajectory(np.array([0.0, 0.1]), [u, u], [])
     with pytest.raises(ValueError, match="with_diagnostics"):
-        energy_identity(traj, DataTriple(u, [], 0.1))
+        energy_identity(traj.diagnostics, 0.0, DataTriple(u, [], 0.1))
 
 
 def test_local_energy_stays_below_the_budget(short_run):
     data, _, traj = short_run
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
-    ratio = energy_budget(traj, cut, data)
+    ratio = energy_budget(states(traj), cut, data)
     assert 0.0 < ratio <= 1.0
 
 
 def test_exterior_region_budget(short_run):
     data, _, traj = short_run
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.25, r=0.1)
-    ratio = energy_budget(traj, cut, data, region="exterior")
+    ratio = energy_budget(states(traj), cut, data, region="exterior")
     assert 0.0 < ratio <= 1.0
 
 
@@ -98,7 +99,7 @@ def test_unknown_region_raises(short_run):
     data, _, traj = short_run
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
     with pytest.raises(ValueError):
-        energy_budget(traj, cut, data, region="shell")
+        energy_budget(states(traj), cut, data, region="shell")
 
 
 def test_local_budget_is_monotone_in_the_data(grid16):
@@ -108,10 +109,10 @@ def test_local_budget_is_monotone_in_the_data(grid16):
     data = DataTriple(random_divfree(grid16, seed=2, kmax=3), [], 0.01)
     cfg = SolverConfig(dt=1e-3)
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
-    small = energy_budget(evolve(data, cfg), cut, data)
+    small = energy_budget(march(data, cfg), cut, data)
     big_data = DataTriple(
         sp.vector_from_coeffs(grid16, 2.0 * data.u0.coeffs), [], 0.01)
-    big = energy_budget(evolve(big_data, cfg), cut, big_data)
+    big = energy_budget(march(big_data, cfg), cut, big_data)
     assert 0.0 < big < small
 
 
@@ -121,71 +122,78 @@ def test_local_budget_is_monotone_in_the_data(grid16):
 
 def test_total_speed_ratio_is_positive_and_modest(short_run):
     data, _, traj = short_run
-    value, ratio = total_speed(traj, data)
+    value, ratio = total_speed(states(traj), data)
     assert value > 0.0
     assert 0.0 < ratio < 1.0
+
+
+def _never_drawn():
+    raise AssertionError("no state may be drawn")
+    yield
 
 
 def test_total_speed_rejects_long_horizons(grid8):
     u = random_divfree(grid8, seed=3, kmax=2, amplitude=0.1)
     data = DataTriple(u, [], 1.5)  # T > L^2 on the unit box
-    traj = evolve(data, SolverConfig(dt=5e-2))
+    # rejected before the first state is drawn
     with pytest.raises(ValueError, match="T <= L"):
-        total_speed(traj, data)
+        total_speed(_never_drawn(), data)
 
 
-def test_total_speed_rejects_unnormalised_pressure(short_run):
-    data, _, traj = short_run
-    p = traj.pressures[0]
-    c = p.coeffs.copy()
-    c[0, 0, 0] = 1.0
-    bad = Trajectory(traj.times, list(traj.velocities),
-                     [sp.scalar_from_coeffs(p.grid, c)
-                      for p in traj.pressures],
-                     diagnostics=traj.diagnostics)
-    with pytest.raises(ValueError, match="pressure"):
-        total_speed(bad, data)
+def test_streamed_and_held_states_reduce_alike(grid16):
+    # the march's states, reduced as they arrive, give the bits of the
+    # same states held in evolve's trajectory
+    data = DataTriple(random_divfree(grid16, seed=5, kmax=3), [], 0.01)
+    cfg = SolverConfig(dt=1e-3, store_every=3)
+    held = evolve(data, cfg)
+    assert total_speed(march(data, cfg), data) \
+        == total_speed(states(held), data)
+    cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
+    assert energy_budget(march(data, cfg), cut, data) \
+        == energy_budget(states(held), cut, data)
 
 
 # ---------------------------------------------------------------------------
 # enstrophy localisation harness
 
 
-def tiny_vortex_run(grid, amp=0.05, T=1e-4, dt=5e-6):
-    data = DataTriple(random_divfree(grid, seed=4, kmax=3, amplitude=amp),
-                      [], T)
-    return data, evolve(data, SolverConfig(dt=dt))
+def tiny_vortex_data(grid):
+    return DataTriple(random_divfree(grid, seed=4, kmax=3, amplitude=0.05),
+                      [], 1e-4)
 
 
 def test_enstrophy_hypothesis_small_vorticity_enforced(grid16):
-    data, traj = tiny_vortex_run(grid16)
+    data = tiny_vortex_data(grid16)
     with pytest.raises(ValueError, match=r"\(eeta\)"):
-        enstrophy_localisation(traj, ((0.5, 0.5, 0.5), 0.4),
-                               delta=1e-6, c=0.01, r=0.15, data=data)
+        enstrophy_hypotheses(((0.5, 0.5, 0.5), 0.4), delta=1e-6, c=0.01,
+                             r=0.15, data=data, T=data.T)
 
 
 def test_enstrophy_hypothesis_smallness_enforced(grid16):
-    data, traj = tiny_vortex_run(grid16)
+    data = tiny_vortex_data(grid16)
     with pytest.raises(ValueError, match=r"\(delta-4\)"):
-        enstrophy_localisation(traj, ((0.5, 0.5, 0.5), 0.4),
-                               delta=1e4, c=0.01, r=0.15, data=data)
+        enstrophy_hypotheses(((0.5, 0.5, 0.5), 0.4), delta=1e4, c=0.01,
+                             r=0.15, data=data, T=data.T)
 
 
 def test_enstrophy_hypothesis_r_window_enforced(grid16):
-    data, traj = tiny_vortex_run(grid16)
+    data = tiny_vortex_data(grid16)
     with pytest.raises(ValueError, match=r"\(r-large\)"):
-        enstrophy_localisation(traj, ((0.5, 0.5, 0.5), 0.4),
-                               delta=3.0, c=0.01, r=0.3, data=data)
+        enstrophy_hypotheses(((0.5, 0.5, 0.5), 0.4), delta=3.0, c=0.01,
+                             r=0.3, data=data, T=data.T)
 
 
 def test_enstrophy_report_on_admissible_scenario(grid16):
-    data, traj = tiny_vortex_run(grid16)
+    data = tiny_vortex_data(grid16)
+    traj = evolve(data, SolverConfig(dt=5e-6))
     delta = 3.0
+    hyp = enstrophy_hypotheses(((0.5, 0.5, 0.5), 0.4), delta=delta, c=0.01,
+                               r=0.15, data=data, T=traj.T)
     rep = enstrophy_localisation(traj, ((0.5, 0.5, 0.5), 0.4),
-                                 delta=delta, c=0.01, r=0.15, data=data)
-    assert rep.hypothesis_value <= delta
-    assert rep.smallness_value <= 0.01
-    assert rep.r_condition_value < 0.15
+                                 delta=delta, c=0.01, r=0.15)
+    assert hyp["eeta"] <= delta
+    assert hyp["delta-4"] <= 0.01
+    assert hyp["r-large"] < 0.15
     assert np.all(np.diff(rep.radius_path) <= 0.0)
     assert rep.conclusion_ratio < 1.0
     assert np.all(rep.W <= delta**2)

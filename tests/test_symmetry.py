@@ -183,7 +183,8 @@ def test_trajectory_transforms_carry_the_meta(grid16):
     for tr in (SpaceTranslate((0.21, 0.13, 0.34)), Scale(2.0)):
         moved_data = apply(tr, data)
         moved = with_diagnostics(apply(tr, traj), moved_data)
-        defect, _ = energy_identity(moved, moved_data)
+        defect, _ = energy_identity(moved.diagnostics, moved.meta["eps"],
+                                   moved_data)
         assert defect <= 1e-6
     scaled = apply(Scale(2.0), traj).meta
     assert scaled["eps"] == 4.0 * eps
