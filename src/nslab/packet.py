@@ -69,6 +69,9 @@ class WavePacketSpec:
             raise ValueError("frequency and direction must be nonzero")
         if not 0 <= self.component <= 2:
             raise ValueError("component must index a spatial direction")
+        if not self.psi_radius > 0:
+            raise ValueError(
+                f"test-bump radius {self.psi_radius} must be positive")
 
     @property
     def cross(self) -> np.ndarray:
@@ -112,6 +115,25 @@ def _check_pairing_box(grid: SpectralGrid):
     if grid.L < 8.0:
         raise ValueError(
             "support overflow: pairing box must be at least 8 units wide"
+        )
+
+
+def _check_test_bump(template: WavePacketSpec, grid: SpectralGrid):
+    if 2.0 * template.psi_radius >= grid.L:
+        raise ValueError(
+            f"test-bump ball of radius {template.psi_radius} does not fit in "
+            f"the pairing box of width {grid.L}"
+        )
+
+
+def _check_frequencies(n_list):
+    """The scaling verdicts compare neighbouring entries as a doubling of n,
+    and the fitted slope needs two frequencies."""
+    ns = list(n_list)
+    if len(ns) < 2 or any(b != 2 * a for a, b in zip(ns, ns[1:])):
+        raise ValueError(
+            f"frequency list {', '.join(map(str, ns))} must hold at least "
+            "two entries, each twice the one before"
         )
 
 
@@ -203,14 +225,19 @@ def _pairing_kernels(grid, psi_hat, component):
     sym = grid.laplace_symbol()
     sym[0, 0, 0] = 1.0
     base = psi_hat / sym.astype(psi_hat.real.dtype)
-    del sym
+    del sym, psi_hat
     base[0, 0, 0] = 0.0
     scale = 2.0j * np.pi / L
-    base = base * (scale * mods[component]).astype(base.dtype)
+    base *= (scale * mods[component]).astype(base.dtype)
     kernels = []
     for i, j in _PAIRS:
-        kern = base * ((scale ** 2) * mods[i] * mods[j]).astype(base.dtype)
-        kernels.append(scipy.fft.irfftn(kern, s=grid.shape, overwrite_x=True))
+        mult = ((scale ** 2) * mods[i] * mods[j]).astype(base.dtype)
+        if len(kernels) < len(_PAIRS) - 1:
+            kernels.append(sp._irfftn_in_place(base * mult))
+        else:
+            # base is not read again: the last kernel is built in it
+            base *= mult
+            kernels.append(sp._irfftn_in_place(base))
     return kernels
 
 
@@ -228,16 +255,28 @@ def _contract(grid, kernels, lap):
 def _bump_kernels(spec: WavePacketSpec, grid: SpectralGrid):
     """The single-precision pairing kernels of spec's test bump on grid;
     they depend on the bump and the grid, not on the packet."""
-    psi_hat = scipy.fft.rfftn(_bump_samples(
-        grid, spec.psi_center, spec.psi_radius).astype(np.float32))
-    return _pairing_kernels(grid, psi_hat, spec.component)
+    # no reference to the transform is kept here, so _pairing_kernels can
+    # free it before the kernels are inverted
+    return _pairing_kernels(grid, scipy.fft.rfftn(_bump_samples(
+        grid, spec.psi_center, spec.psi_radius).astype(np.float32)),
+        spec.component)
+
+
+def _times_laplace_symbol(u_hat, grid: SpectralGrid):
+    """u_hat *= grid.laplace_symbol().astype(np.float32), without a full-size
+    copy of the symbol: each x-plane of it comes from the same float64
+    expression, cast to float32."""
+    kx, ky, kz = sp._axis_modes(grid.N)
+    for a in range(grid.N):
+        sym = -4.0 * np.pi**2 * (kx[a] * kx[a] + ky[0] * ky[0]
+                                 + kz[0] * kz[0]) / grid.L**2
+        u_hat[a] *= sym.astype(np.float32)
 
 
 def _packet_laplacian(spec: WavePacketSpec, grid: SpectralGrid):
     """Single-precision samples of the three components of Lap u for the
     packet u of spec."""
     mods = sp._deriv_modes(grid.N)
-    sym = grid.laplace_symbol().astype(np.float32)
     scale = 2.0j * np.pi / grid.L
     shat = scipy.fft.rfftn(_stream_samples(spec, grid, dtype=np.float32))
     eta = spec.eta_dir
@@ -247,9 +286,14 @@ def _packet_laplacian(spec: WavePacketSpec, grid: SpectralGrid):
         j, k = (i + 1) % 3, (i + 2) % 3
         # curl of the constant-direction stream function eta * scal
         mult = (scale * amp) * (mods[j] * eta[k] - mods[k] * eta[j])
-        u_hat = shat * mult.astype(np.complex64)
-        u_hat *= sym
-        lap.append(scipy.fft.irfftn(u_hat, s=grid.shape, overwrite_x=True))
+        if i < 2:
+            u_hat = shat * mult.astype(np.complex64)
+        else:
+            # shat is not read again: the last component is built in it
+            u_hat, shat = shat, None
+            u_hat *= mult.astype(np.complex64)
+        _times_laplace_symbol(u_hat, grid)
+        lap.append(sp._irfftn_in_place(u_hat))
         del u_hat
     return lap
 
@@ -277,7 +321,9 @@ def pairing_from_spec(spec: WavePacketSpec, grid: SpectralGrid,
 
     Works in single precision through real-input FFTs: the shipped study,
     which holds the six kernels of a 256^3 box while it pairs three
-    packets, peaks at about 910 MB.  The pairing tolerances are
+    packets, peaks at about 716 MB (ru_maxrss, 2-core x86-64, numpy 2.4,
+    scipy 1.17), about four 256^3 float32 arrays above the kernels while
+    a Laplacian component is inverted.  The pairing tolerances are
     percent-level, far above float32 roundoff.  kernels, when given, are
     _bump_kernels(spec, grid), built once for several packets.
     """
@@ -356,8 +402,12 @@ def growth_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
 def check_study(template: WavePacketSpec, n_list, norm_grid: SpectralGrid,
                 pairing_grid: SpectralGrid, doubling_n: int):
     """Raise, before any packet is built, the ValueError that growth_study
-    would raise part-way through on these inputs."""
+    would raise part-way through on these inputs, or one for inputs on
+    which its table would mean nothing: a frequency list that does not
+    double, or a test bump wider than the pairing box."""
     _check_leading_term(template)
+    _check_frequencies(n_list)
+    _check_test_bump(template, pairing_grid)
     for n in n_list:
         _check_resolution(template.with_n(n), norm_grid)
         _check_resolution(template.with_n(n), pairing_grid)

@@ -424,10 +424,29 @@ def _oversampled_samples(c, N, M):
     del rows
     out[:, :, : h + 1] = scipy.fft.ifftn(out[:, :, : h + 1], axes=(1,),
                                          norm="forward")
-    s = scipy.fft.irfftn(out, s=(M,), axes=(-1,), norm="forward")
-    s *= float(1 / np.longdouble(M**3))
+    s = _inverse_along_z(out, M)
     s *= M**3
     return s
+
+
+def _inverse_along_z(h, N):
+    """The last pass of irfftn(., s=(N, N, N)) on a half spectrum h whose x
+    and y axes are already inverted: the real transform along z, then
+    pocketfft's long-double 1/N^3 rounded to h's precision, so the samples
+    keep irfftn's bits."""
+    s = scipy.fft.irfftn(h, s=(N,), axes=(-1,), norm="forward")
+    s *= s.dtype.type(1 / np.longdouble(N**3))
+    return s
+
+
+def _irfftn_in_place(h):
+    """irfftn(h, s=(N, N, N)) of an (N, N, N/2+1) half spectrum, bit for
+    bit, using h as the scratch of its x and y passes: h is overwritten,
+    and no complex temporary of h's size is allocated (pocketfft's
+    multi-axis inverse makes one)."""
+    N = h.shape[0]
+    h = scipy.fft.ifftn(h, axes=(0, 1), norm="forward", overwrite_x=True)
+    return _inverse_along_z(h, N)
 
 
 def sup_norm(f, factor=2):

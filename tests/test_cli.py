@@ -435,7 +435,18 @@ def test_unknown_region_exits_two_before_the_data(tmp_path, monkeypatch):
      "cannot resolve"),
     ("counterexample.xi = 1,0,0\ncounterexample.eta = 2,0,0\n",
      "degenerate packet"),
-], ids=["pairing-grid", "doubled-box", "degenerate"])
+    # one frequency leaves no ratio to check and no slope to fit
+    ("counterexample.n_list = 4\n", "at least two entries"),
+    # a repeated frequency makes the log-log fit singular
+    ("counterexample.n_list = 2,2\n", "each twice the one before"),
+    # a radius of zero or below gives NaN samples of the test bump
+    ("counterexample.psi_radius = 0\n", "must be positive"),
+    ("counterexample.psi_radius = -0.5\n", "must be positive"),
+    # on a ball this wide the bump is flat over the whole box, so X0 is 0
+    ("counterexample.psi_radius = 20\n", "does not fit in the pairing box"),
+], ids=["pairing-grid", "doubled-box", "degenerate", "one-frequency",
+        "repeated-frequency", "zero-radius", "negative-radius",
+        "wide-bump"])
 def test_unresolvable_packet_exits_two_before_the_study(tmp_path, monkeypatch,
                                                         extra, message):
     monkeypatch.setattr(cli, "growth_study", _must_not_run)

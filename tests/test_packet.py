@@ -1,6 +1,8 @@
 """Oscillatory packet construction, the curvature pairing, and the
 frequency sweep bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,8 @@ def test_spec_rejects_bad_parameters():
         WavePacketSpec(n=2, xi=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         WavePacketSpec(n=2, component=5)
+    with pytest.raises(ValueError, match="must be positive"):
+        WavePacketSpec(n=2, psi_radius=0.0)
 
 
 def test_with_n_keeps_the_rest_of_the_spec():
@@ -130,6 +134,32 @@ def test_lean_pairing_matches_the_generic_one(pairing_grid):
     psi = mass_one_bump(pairing_grid, spec.psi_center, spec.psi_radius)
     generic = x0_pairing(u, psi, spec.component)
     assert abs(lean - generic) < 1e-5 * abs(generic)
+
+
+def _traced_peak(fn, *args):
+    """The traced memory peak of fn(*args) above what was held before it,
+    after a first call has filled the caches of the mode lattices."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairing_holds_few_full_size_temporaries():
+    # the inverses overwrite their half spectra, the last Laplacian
+    # component and the last kernel are built in the spectrum they start
+    # from, and the Laplace symbol is applied one x-plane at a time; in
+    # units of one real N^3 float32 array, the peaks include the results
+    # (three samples, six kernels)
+    grid = sp.make_grid(9.0, 64)
+    spec = WavePacketSpec(n=4)
+    unit = 4 * grid.N ** 3
+    assert _traced_peak(packet._packet_laplacian, spec, grid) <= 4.25 * unit
+    assert _traced_peak(packet._bump_kernels, spec, grid) <= 7.25 * unit
 
 
 def test_pairing_rejects_mismatched_grids(norm_grid, pairing_grid):
