@@ -36,10 +36,10 @@ from .estimates import (
 )
 from .packet import (WavePacketSpec, _centered_offsets, check_study,
                      growth_study, wave_packet)
-from .solver import (SolverConfig, _diag_row, _time_grid, diagnostics_table,
-                     evolve, march, picard_solve, recording_rows, residual,
-                     with_diagnostics, with_pressures)
-from .spaces import DataTriple, Trajectory, sobolev_norm
+from .solver import (MomentumResidual, SolverConfig, _diag_row, _time_grid,
+                     diagnostics_table, evolve, march, picard_solve,
+                     pressured, recording_rows, residual, stored_times)
+from .spaces import DataTriple, sobolev_norm
 from .symmetry import (
     Forcing,
     Galilean,
@@ -48,6 +48,7 @@ from .symmetry import (
     SpaceTranslate,
     TimeTranslate,
     apply,
+    state_map,
     weak_pairing_decay,
 )
 
@@ -160,6 +161,10 @@ _SCHEMA = {
     "output.dir": str,
 }
 
+# count key -> its least value; forcing.samples counts only where
+# random-band forcing reads it
+_LEAST = {"localize.l_max": 1, "localize.n_r": 2, "forcing.samples": 1}
+
 _DEFAULTS = {
     "grid.L": 1.0,
     "grid.N": 32,
@@ -271,6 +276,15 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
         raise ConfigError(f"{path}: unknown experiment {name!r}; choose "
                           f"from {', '.join(EXPERIMENTS)}")
     return ExperimentConfig(name, values, source=path)
+
+
+def _check_counts(cfg: ExperimentConfig):
+    """A config error for a count below its least value, before any data."""
+    for key, least in _LEAST.items():
+        if cfg.get(key) < least and (key != "forcing.samples" or cfg.get(
+                "forcing.kind") == "random-band"):
+            raise ConfigError(f"{cfg.source}: {key} must be at least {least}, "
+                              f"got {cfg.get(key)}")
 
 
 def load_baselines():
@@ -550,13 +564,6 @@ def _solve(data, scfg, method):
     return {"evolve": evolve, "picard": picard_solve}[method](data, scfg)
 
 
-def _solve_trajectory(cfg: ExperimentConfig, grid):
-    """(data, trajectory) of the run a config names."""
-    scfg, method = _solver(cfg)
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
-    return data, _solve(data, scfg, method)
-
-
 def _solve_states(cfg: ExperimentConfig, grid):
     """(data, states): the (t, u) of each stored state of the run a config
     names, streamed from the march, or read off a Picard fixed point."""
@@ -573,17 +580,25 @@ def _solve_states(cfg: ExperimentConfig, grid):
 
 
 def _exp_solve(cfg, art, baselines):
-    data, traj = _solve_trajectory(cfg, _grid(cfg))
-    traj = with_diagnostics(traj, data)
-    # the sup profile before the pressures, so that the pressures are not
-    # yet held while the sup norm's oversampled temporaries set the peak
-    sup = np.array([sp.sup_norm(u) for u in traj.velocities])
-    traj = with_pressures(traj, data)
-    res = residual(traj, data)
+    data, states = _solve_states(cfg, _grid(cfg))
+    rows, sup, last = [], [], None
+
+    def passing(states):
+        # one pass: each state's diagnostic row and sup norm are taken as
+        # it passes on to its pressure and the residual
+        nonlocal last
+        for t, u in recording_rows(states, data, rows):
+            sup.append(sp.sup_norm(u))
+            last = t, u
+            yield t, u
+
+    res = residual(pressured(passing(states), data), data,
+                   cfg.get("solver.eps"))
     tol = cfg.get("tol.residual")
-    traj.diagnostics.to_csv(art.path("diagnostics.csv"), sup, residual=res)
-    sp.write_field(art.path("final_velocity.field"), traj.velocities[-1],
-                   time=traj.times[-1])
+    diagnostics_table(rows).to_csv(art.path("diagnostics.csv"), np.array(sup),
+                                   residual=res)
+    t, u = last
+    sp.write_field(art.path("final_velocity.field"), u, time=t)
     rmax = float(np.max(res)) if len(res) else 0.0
     return [Verdict("residual", rmax <= tol, rmax, tol)]
 
@@ -775,65 +790,76 @@ def _exp_homogenize(cfg, art, baselines):
 
 def _exp_symmetry(cfg, art, baselines):
     grid = _grid(cfg)
-    data, traj = _solve_trajectory(cfg, grid)
-    traj = with_pressures(traj, data)
-    base = float(np.max(residual(traj, data)))
+    scfg, _ = _solver(cfg)
+    data, states = _solve_states(cfg, grid)
+    eps = scfg.eps
+    # the stored time grid is known before the march, and with it the
+    # image of every state under every transform
+    times = stored_times(data, scfg)
     L = grid.L
-    times = np.linspace(0.0, data.T, 5)
+    shifted = TimeTranslate(float(times[len(times) // 2]))
+    vtimes = np.linspace(0.0, data.T, 5)
     vconst = np.tile(np.array([0.04, -0.015, 0.025]), (5, 1))
     q = sp.scalar_from_samples(grid, np.cos(
         2.0 * np.pi * grid.nodes()[0] / L))
     transforms = [
         ("space-translate", SpaceTranslate((0.3 * L, 0.1 * L, 0.7 * L))),
-        ("time-translate", TimeTranslate(float(traj.times[len(traj) // 2]))),
+        ("time-translate", shifted),
         ("scale", Scale(2.0)),
         ("pressure-shift", PressureShift(1.234)),
         ("galilean", Galilean(vconst.copy())),
         ("galilean-time", Galilean(
-            np.outer(times, np.array([0.05, 0.0, -0.03])),
+            np.outer(vtimes, np.array([0.05, 0.0, -0.03])),
             v_dot=np.tile(np.array([0.05, 0.0, -0.03]), (5, 1)))),
-        ("forcing-gauge", Forcing([q] * len(traj.times))),
+        ("forcing-gauge", Forcing([q])),
     ]
+    images = {name: state_map(tr, times) for name, tr in transforms}
+    base = MomentumResidual(data, eps)
+    # the residual of each image on the transformed data; a rescaling by
+    # lam stretches time by lam^2, and the equation keeps its form only
+    # with eps scaled by lam^2 as well.  The time translate's data is the
+    # first state of its image, so its residual starts when that arrives.
+    reductions = {
+        name: MomentumResidual(apply(tr, data), eps * tr.lam**2
+                               if isinstance(tr, Scale) else eps)
+        for name, tr in transforms if tr is not shifted}
+    for j, state in enumerate(pressured(states, data)):
+        base.push(state)
+        moved = {name: image(j, *state) for name, image in images.items()}
+        if "time-translate" not in reductions and moved["time-translate"]:
+            reductions["time-translate"] = MomentumResidual(DataTriple(
+                moved["time-translate"][1], [],
+                max(data.T - shifted.t0, cfg.get("solver.dt"))), eps)
+        for name, image in moved.items():
+            if image is not None:
+                reductions[name].push(image)
+        if j == 0:
+            # energies by the diagnostic row's sums, which a power-of-two
+            # scaling maps exactly (spaces.energy reads 2 +- 4e-16 on some
+            # data)
+            e_ratio = (_diag_row(moved["scale"][1], None)[0]
+                       / _diag_row(state[1], None)[0])
+    base = float(np.max(base.result()))
     verdicts = []
     rows = []
-    for name, tr in transforms:
-        t_traj = apply(tr, traj)
-        if isinstance(tr, TimeTranslate):
-            t_data = DataTriple(t_traj.velocities[0], [],
-                                max(data.T - tr.t0, cfg.get("solver.dt")))
-        else:
-            t_data = apply(tr, data)
-        r = float(np.max(residual(t_traj, t_data)))
+    for name, _ in transforms:
+        r = float(np.max(reductions[name].result()))
         increase = max(r - base, 0.0)
         rows.append((name, base, r, increase))
         verdicts.append(Verdict(f"residual-{name}", increase <= 1e-6,
                                 increase, 1e-6))
-        # one transformed image at a time
-        del t_traj
     with open(art.path("symmetry.csv"), "w") as fh:
         fh.write("transform,base_residual,residual,increase\n")
         for name, b, r, inc in rows:
             fh.write(f"{name},{b:.17e},{r:.17e},{inc:.17e}\n")
-    # each of the last two verdicts reads one state, so only that state is
-    # transformed; energies by the diagnostic row's sums, which a
-    # power-of-two scaling maps exactly (spaces.energy reads 2 +- 4e-16 on
-    # some data)
-    scaled = apply(Scale(2.0), _one_state(traj, 0))
-    e_ratio = (_diag_row(scaled.velocities[0], None)[0]
-               / _diag_row(traj.velocities[0], None)[0])
     verdicts.append(Verdict("scale-energy", abs(e_ratio - 2.0) <= 1e-6,
                             float(e_ratio), 2.0, note="scaling"))
+    # the last state's image under the space translation
     mean_def = float(np.max(np.abs(np.real(
-        apply(SpaceTranslate((0.3 * L, 0.1 * L, 0.7 * L)),
-              _one_state(traj, -1)).velocities[0].mean()))))
+        moved["space-translate"][1].mean()))))
     verdicts.append(Verdict("mean-zero", mean_def <= 1e-12, mean_def, 1e-12,
                             note="meanzero-3"))
     return verdicts
-
-
-def _one_state(traj, j):
-    """The trajectory of traj's state j alone."""
-    return Trajectory(traj.times[[j]], [traj.velocities[j]], [])
 
 
 _DISPATCH = {
@@ -858,6 +884,7 @@ def run(cfg: ExperimentConfig, outdir=None) -> tuple:
     t0 = time.time()
     verdicts, error, code = [], "", 0
     try:
+        _check_counts(cfg)
         verdicts = _DISPATCH[cfg.experiment](cfg, art, load_baselines())
         if not all(v.passed for v in verdicts):
             code = 1

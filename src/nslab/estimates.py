@@ -158,12 +158,8 @@ def energy_identity(d: DiagnosticsTable, eps: float,
     From the diagnostic rows d of a run with hyperdissipation coefficient
     eps, lhs(t) = energy + the integrated dissipation - the integrated
     work of the forcing; the defect is its largest drift from lhs(0), the
-    ratio its largest value.  A trajectory's rows are None until
-    solver.with_diagnostics makes them.
+    ratio its largest value.
     """
-    if d is None:
-        raise ValueError("the energy identity needs the trajectory's "
-                         "diagnostics; see with_diagnostics")
     E = _data_energy(data)
     lhs = (d.energy + cumulative_simpson(d.grad_sq, d.t)
            - cumulative_simpson(d.f_inner, d.t))

@@ -14,7 +14,7 @@ time-stepped solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -37,10 +37,11 @@ __all__ = [
     "picard_solve",
     "evolve",
     "march",
+    "stored_times",
     "recording_rows",
     "diagnostics_table",
-    "with_diagnostics",
-    "with_pressures",
+    "pressured",
+    "MomentumResidual",
     "residual",
 ]
 
@@ -242,16 +243,11 @@ def march(data: DataTriple, cfg: SolverConfig):
             yield t, u
 
 
-def _trajectory(cfg: SolverConfig, dt: float, times, states) -> Trajectory:
-    """A trajectory of stored times and their states; no diagnostics or
-    pressures (see with_diagnostics, with_pressures)."""
-    return Trajectory(np.array(times), states, [],
-                      meta={"dt": dt, "eps": cfg.eps})
-
-
-def _row(t, u: VectorField, data: DataTriple):
-    """(t, *_diag_row) of the state u at time t under the forcing of data."""
-    return (t, *_diag_row(u, _f_sample(data, t)))
+def stored_times(data: DataTriple, cfg: SolverConfig) -> np.ndarray:
+    """The times of the states that march yields and picard_solve returns,
+    known before the march starts."""
+    n_steps, dt = _time_grid(data, cfg)
+    return np.array([n * dt for n in _stored_steps(n_steps, cfg.store_every)])
 
 
 def diagnostics_table(rows) -> DiagnosticsTable:
@@ -264,24 +260,17 @@ def recording_rows(states, data: DataTriple, rows: list):
     under the forcing of data at t to rows, so that one pass over a march
     serves both the rows and another reduction."""
     for t, u in states:
-        rows.append(_row(t, u, data))
+        rows.append((t, *_diag_row(u, _f_sample(data, t))))
         yield t, u
 
 
-def with_diagnostics(traj: Trajectory, data: DataTriple) -> Trajectory:
-    """traj with a diagnostic row for each stored state under the forcing
-    of data at its time, for the readers of the rows: the solve
-    experiment's CSV and the global energy identity."""
-    return replace(traj, diagnostics=diagnostics_table(
-        [_row(t, u, data) for t, u in zip(traj.times, traj.velocities)]))
-
-
-def with_pressures(traj: Trajectory, data: DataTriple) -> Trajectory:
-    """traj with the normalised pressure of each stored state under the
-    forcing of data at its time, as residual needs them."""
-    return replace(traj, pressures=[
-        normalised_pressure(u, _f_sample(data, t))
-        for t, u in zip(traj.times, traj.velocities)])
+def pressured(states, data: DataTriple):
+    """Passes each (t, u) of states on as the state (t, u, p, None) that
+    residual reads, with p the normalised pressure of u under the forcing
+    of data at t, made as the state arrives, and no linear pressure
+    part."""
+    for t, u in states:
+        yield t, u, normalised_pressure(u, _f_sample(data, t)), None
 
 
 def _stiff_symbol(grid, eps):
@@ -293,14 +282,13 @@ def _stiff_symbol(grid, eps):
 
 def evolve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     """Long-time stepping of the (hyper)dissipative system; no smallness
-    assumption: the stored states of march, held.  The trajectory carries
-    neither diagnostics nor pressures (see with_diagnostics,
-    with_pressures)."""
+    assumption: the stored states of march, held."""
     times, states = [], []
     for t, u in march(data, cfg):
         times.append(t)
         states.append(u)
-    return _trajectory(cfg, _time_grid(data, cfg)[1], times, states)
+    return Trajectory(np.array(times), states,
+                      meta={"dt": _time_grid(data, cfg)[1]})
 
 
 def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
@@ -309,8 +297,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     Iterates u -> e^{t Delta}u0 + quadrature of e^{(t-t')Delta}(PB(u,u)+Pf)
     with the same exponential-integrator weights as evolve, measures the
     contraction factor in the X^1 norm, and returns the fixed point (with
-    the factor and iteration count in traj.meta); like evolve's, the
-    trajectory carries neither diagnostics nor pressures.
+    the factor and iteration count in traj.meta).
     """
     size = h1_data_norm(data)
     if size**4 * data.T > cfg.smallness_c:
@@ -340,9 +327,7 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     scale = max(1.0, sobolev_norm(u0, 1.0))
     for it in range(cfg.picard_max_iters):
         nxt = [u for _, _, u in _sweep(data, cfg, current)]
-        dist = xs_distance(
-            Trajectory(times, current, []), Trajectory(times, nxt, [])
-        )
+        dist = xs_distance(Trajectory(times, current), Trajectory(times, nxt))
         if prev_dist is not None and prev_dist > 0:
             factor = dist / prev_dist
             factors.append(factor)
@@ -353,8 +338,8 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
         current = nxt
         if dist < cfg.picard_tol * scale:
             steps = _stored_steps(n_steps, cfg.store_every)
-            traj = _trajectory(cfg, dt, [n * dt for n in steps],
-                               [nxt[n] for n in steps])
+            traj = Trajectory(stored_times(data, cfg), [nxt[n] for n in steps],
+                              meta={"dt": dt})
             traj.meta["picard_iterations"] = it + 1
             traj.meta["contraction_factor"] = max(factors) if factors else 0.0
             return traj
@@ -365,45 +350,68 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     )
 
 
-def residual(traj: Trajectory, data: DataTriple) -> np.ndarray:
-    """L^2 defect of the momentum equation at interior stored times.
+class MomentumResidual:
+    """The reduction of residual, fed one state at a time, so that one
+    march can feed several streams: push each state (t, u, p, a) of a
+    stream in order, then read result().  It keeps the last three states;
+    each push from the third on adds the defect at the middle one."""
 
-    Uses central differences in time, the stored pressure (plus any linear
-    pressure part x . a(t)), the trajectory's own velocity samples and its
-    hyperdissipation coefficient meta["eps"].  The trajectory must carry
-    its pressures (see with_pressures); without them the defect would
-    silently leave out grad p.
-    """
-    if len(traj) < 3:
-        raise ValueError("residual needs at least three time samples")
-    if not traj.pressures:
-        raise ValueError("residual needs the trajectory's pressures; "
-                         "see with_pressures")
-    grid = traj.grid
-    eps = traj.meta.get("eps", 0.0)
-    out = np.zeros(len(traj) - 2)
-    for j in range(1, len(traj) - 1):
-        u = traj.velocities[j]
-        dtc = traj.times[j + 1] - traj.times[j - 1]
-        du = (traj.velocities[j + 1].coeffs - traj.velocities[j - 1].coeffs) / dtc
+    def __init__(self, data: DataTriple, eps: float):
+        self.data = data
+        self.eps = eps
+        self.t_first = None
+        self.window = []
+        self.defects = []
+
+    def push(self, state):
+        if self.t_first is None:
+            self.t_first = state[0]
+        self.window = self.window[-2:] + [state]
+        if len(self.window) == 3:
+            self.defects.append(self._defect())
+
+    def _defect(self):
+        (t_prev, u_prev, _, _), (t, u, p, a), (t_next, u_next, _, _) = \
+            self.window
+        grid = u.grid
+        dtc = t_next - t_prev
+        du = (u_next.coeffs - u_prev.coeffs) / dtc
         defect = (
             du
             - sp.laplacian(u).coeffs
             - bilinear_B(u, u).coeffs
         )
-        if eps:
-            defect += eps * sp.laplacian(sp.laplacian(u)).coeffs
-        defect += sp.gradient(traj.pressures[j]).coeffs
-        if data.f:
-            defect -= sp.dealias(data.f_at(traj.times[j] - traj.times[0])).coeffs
+        if self.eps:
+            defect += self.eps * sp.laplacian(sp.laplacian(u)).coeffs
+        defect += sp.gradient(p).coeffs
+        if self.data.f:
+            defect -= sp.dealias(self.data.f_at(t - self.t_first)).coeffs
         res_field = VectorField(grid, defect)
         val_sq = sp.l2_norm(res_field) ** 2
-        if traj.pressure_linear is not None:
+        if a is not None:
             # the constant vector a(t) is the gradient of x . a(t); it is
             # orthogonal to every mean-zero mode, so it adds in quadrature
             val_sq += grid.L**3 * float(
-                np.sum((np.real(res_field.mean()) + traj.pressure_linear[j]) ** 2)
+                np.sum((np.real(res_field.mean()) + a) ** 2)
                 - np.sum(np.real(res_field.mean()) ** 2)
             )
-        out[j - 1] = np.sqrt(max(val_sq, 0.0))
-    return out
+        return np.sqrt(max(val_sq, 0.0))
+
+    def result(self) -> np.ndarray:
+        """The defect at each interior state pushed so far."""
+        if not self.defects:
+            raise ValueError("residual needs at least three time samples")
+        return np.array(self.defects)
+
+
+def residual(states, data: DataTriple, eps: float) -> np.ndarray:
+    """L^2 defect of the momentum equation at the interior states of a
+    stream of (t, u, p, a), such as pressured(march(...)): a velocity, its
+    pressure, and the vector a(t) of a linear pressure part x . a(t), or
+    None.  It uses central differences in time, the hyperdissipation
+    coefficient eps and the forcing of data at t minus the first state's
+    time.  Each state is reduced as it arrives; three are held."""
+    reduction = MomentumResidual(data, eps)
+    for state in states:
+        reduction.push(state)
+    return reduction.result()

@@ -10,7 +10,7 @@ those times live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,32 +115,35 @@ class DiagnosticsTable:
 
 @dataclass
 class Trajectory:
-    """Stored (velocity, pressure) samples plus their diagnostics.
+    """Stored velocity samples of a solve.
 
     ``times`` are the stored sample times (strictly increasing, starting at
-    the initial time).  ``pressures`` is empty or holds one pressure per
-    stored time; the solver leaves it empty, and solver.with_pressures
-    fills it for the reader that needs it, solver.residual.  Likewise
-    ``diagnostics`` stays None until solver.with_diagnostics fills it.
-    ``pressure_linear``, when present, is a per-time constant vector a(t)
-    representing a non-periodic pressure part x . a(t) introduced by
-    Galilean-type symmetries.
+    the initial time), one per velocity in ``velocities``.  A trajectory
+    holds no pressure and no diagnostic row: the readers that need them
+    make them from a stream of states as it passes (solver.pressured,
+    solver.recording_rows).  ``meta`` holds the step dt, and for a Picard
+    fixed point its iteration count and contraction factor.
     """
 
     times: np.ndarray
     velocities: list
-    pressures: list
-    diagnostics: Optional[DiagnosticsTable] = None
-    pressure_linear: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.times) != len(self.velocities):
             raise ValueError("times/velocities length mismatch")
-        if len(self.pressures) not in (0, len(self.velocities)):
-            raise ValueError("pressures must be empty or match velocities")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
+
+    @property
+    def pressures(self) -> list:
+        """Always empty: no trajectory holds pressures."""
+        return []
+
+    @property
+    def diagnostics(self) -> None:
+        """Always None: no trajectory holds diagnostic rows."""
+        return None
 
     @property
     def grid(self) -> SpectralGrid:

@@ -1,9 +1,10 @@
 """Symmetry group of the periodic Navier-Stokes system.
 
-Each transform acts on problem data and on trajectories.  Spatial shifts
-by arbitrary (non-grid) offsets are Fourier phase factors, exact for
-band-limited fields.  The Galilean family tracks the non-periodic pressure
-part x . a(t) through Trajectory.pressure_linear.
+Each transform acts on problem data (apply) and on the states of a stream
+(state_map), one state at a time.  Spatial shifts by arbitrary (non-grid)
+offsets are Fourier phase factors, exact for band-limited fields.  The
+Galilean family tracks the non-periodic pressure part x . a(t) as the
+linear pressure vector a of each state.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .spaces import DataTriple, Trajectory, cumulative_trapezoid
+from .spaces import DataTriple, cumulative_trapezoid
 from .spectral import ScalarField, VectorField
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "Galilean",
     "Forcing",
     "apply",
+    "state_map",
     "weak_pairing_decay",
     "DecayTable",
 ]
@@ -90,12 +92,8 @@ class Galilean:
             v = np.column_stack(
                 [np.interp(times, own, self.v[:, i]) for i in range(3)]
             )
-        if len(times) == 1:
-            X = np.zeros((1, 3))
-            vd = np.zeros((1, 3))
-        else:
-            X = cumulative_trapezoid(v, times)
-            vd = np.gradient(v, times, axis=0)
+        X = cumulative_trapezoid(v, times)
+        vd = np.gradient(v, times, axis=0)
         if self.v_dot is not None:
             if len(self.v_dot) == 1:
                 vd = np.broadcast_to(self.v_dot, (len(times), 3)).copy()
@@ -110,7 +108,8 @@ class Galilean:
 @dataclass(frozen=True)
 class Forcing:
     """Adds a gradient forcing grad q and the matching pressure q; q is a
-    list of scalar fields on the subject's forcing/stored time grid."""
+    list of scalar fields on the subject's forcing/stored time grid, or
+    one field, constant in time."""
 
     q: tuple
 
@@ -136,33 +135,9 @@ def _add_mean(u: VectorField, vec) -> VectorField:
     return VectorField(u.grid, coeffs)
 
 
-def apply(transform, subject):
-    """Apply a symmetry transform (one of the classes above) to a
-    DataTriple or a Trajectory.  A transformed trajectory carries no
-    diagnostics."""
-    if isinstance(subject, DataTriple):
-        return _apply_data(transform, subject)
-    if isinstance(subject, Trajectory):
-        out = _apply_traj(transform, subject)
-        out.meta = _carried_meta(transform, subject.meta)
-        return out
-    raise TypeError(f"cannot transform {type(subject).__name__}")
-
-
-def _carried_meta(tr, meta: dict) -> dict:
-    """The source trajectory's meta for its transform: a rescaling by lam
-    stretches time, and with it the step dt, by lam^2, and the equation
-    keeps its form only with the hyperdissipation coefficient eps scaled
-    by lam^2 as well."""
-    meta = dict(meta)
-    if isinstance(tr, Scale):
-        for key in ("dt", "eps"):
-            if key in meta:
-                meta[key] *= tr.lam**2
-    return meta
-
-
-def _apply_data(tr, data: DataTriple) -> DataTriple:
+def apply(tr, data: DataTriple) -> DataTriple:
+    """The problem data transformed by a symmetry transform (one of the
+    classes above)."""
     if isinstance(tr, SpaceTranslate):
         return DataTriple(
             _phase_shift(data.u0, tr.x0),
@@ -171,7 +146,8 @@ def _apply_data(tr, data: DataTriple) -> DataTriple:
         )
     if isinstance(tr, TimeTranslate):
         raise ValueError(
-            "time translation needs a trajectory; problem data has no past"
+            "time translation acts on states (state_map); problem data "
+            "has no past"
         )
     if isinstance(tr, Scale):
         lam = tr.lam
@@ -190,87 +166,74 @@ def _apply_data(tr, data: DataTriple) -> DataTriple:
             data.T,
         )
     if isinstance(tr, Forcing):
-        if data.f:
-            if len(tr.q) != len(data.f):
-                raise ValueError("forcing shift samples must match f grid")
-            f = [VectorField(fk.grid, fk.coeffs + sp.gradient(qk).coeffs)
-                 for fk, qk in zip(data.f, tr.q)]
-        else:
-            f = [sp.gradient(qk) for qk in tr.q]
-        return DataTriple(data.u0, f, data.T)
+        grads = [sp.gradient(qk) for qk in tr.q]
+        if not data.f:
+            return DataTriple(data.u0, grads, data.T)
+        if len(grads) == 1:
+            grads *= len(data.f)
+        if len(grads) != len(data.f):
+            raise ValueError("forcing shift samples must match f grid")
+        return DataTriple(data.u0, [
+            VectorField(fk.grid, fk.coeffs + gk.coeffs)
+            for fk, gk in zip(data.f, grads)], data.T)
     raise TypeError(f"unknown transform {type(tr).__name__}")
 
 
-def _apply_traj(tr, traj: Trajectory) -> Trajectory:
+def state_map(tr, times):
+    """The action of a symmetry transform on the states of a stream stored
+    at the given times, which are known before its first state arrives.
+
+    Returns a function of (j, t, u, p, a), the j-th state with its pressure
+    p and linear pressure vector a(t) (or None), that gives the image
+    (t, u, p, a); for a time translation it gives None for the states
+    before the new origin, and the image stream is the tail.
+    """
+    times = np.asarray(times, dtype=float)
     if isinstance(tr, SpaceTranslate):
-        return Trajectory(
-            traj.times,
-            [_phase_shift(u, tr.x0) for u in traj.velocities],
-            [_phase_shift(p, tr.x0) for p in traj.pressures],
-            pressure_linear=traj.pressure_linear,
-        )
+        return lambda j, t, u, p, a: (t, _phase_shift(u, tr.x0),
+                                      _phase_shift(p, tr.x0), a)
     if isinstance(tr, TimeTranslate):
-        T = traj.T
+        T = float(times[-1])
         if not (0.0 <= tr.t0 <= T + 1e-12 * max(T, 1.0)):
             raise ValueError(f"time shift {tr.t0} outside [0, {T}]")
-        keep = traj.times >= tr.t0 - 1e-12 * max(T, 1.0)
+        keep = times >= tr.t0 - 1e-12 * max(T, 1.0)
         if not np.any(keep):
             raise ValueError("time shift leaves no samples")
-        idx = np.nonzero(keep)[0]
-        return Trajectory(
-            traj.times[idx] - tr.t0,
-            [traj.velocities[i] for i in idx],
-            [traj.pressures[i] for i in idx] if traj.pressures else [],
-            pressure_linear=(
-                traj.pressure_linear[idx]
-                if traj.pressure_linear is not None else None
-            ),
-        )
+        first = int(np.argmax(keep))
+        return lambda j, t, u, p, a: (
+            None if j < first else (t - tr.t0, u, p, a))
     if isinstance(tr, Scale):
         lam = tr.lam
-        g = traj.grid
-        g2 = sp.make_grid(lam * g.L, g.N)
-        return Trajectory(
-            traj.times * lam**2,
-            [VectorField(g2, u.coeffs / lam) for u in traj.velocities],
-            [ScalarField(g2, p.coeffs / lam**2) for p in traj.pressures],
-            pressure_linear=(
-                traj.pressure_linear / lam**3
-                if traj.pressure_linear is not None else None
-            ),
-        )
+
+        def image(j, t, u, p, a):
+            g2 = sp.make_grid(lam * u.grid.L, u.grid.N)
+            return (t * lam**2, VectorField(g2, u.coeffs / lam),
+                    ScalarField(g2, p.coeffs / lam**2),
+                    None if a is None else a / lam**3)
+        return image
     if isinstance(tr, PressureShift):
         C = np.asarray(tr.C, dtype=float)
         if len(C) == 1:
-            C = np.full(len(traj), C[0])
-        if len(C) != len(traj):
+            C = np.full(len(times), C[0])
+        if len(C) != len(times):
             raise ValueError("pressure shift samples must match stored times")
-        pressures = []
-        for p, c in zip(traj.pressures, C):
+
+        def image(j, t, u, p, a):
             coeffs = p.coeffs.copy()
-            coeffs[0, 0, 0] += c
-            pressures.append(ScalarField(p.grid, coeffs))
-        return Trajectory(traj.times, list(traj.velocities), pressures,
-                          pressure_linear=traj.pressure_linear)
+            coeffs[0, 0, 0] += C[j]
+            return t, u, ScalarField(p.grid, coeffs), a
+        return image
     if isinstance(tr, Galilean):
-        v, X, vd = tr.on_times(traj.times)
-        vels = [
-            _add_mean(_phase_shift(u, X[j]), v[j])
-            for j, u in enumerate(traj.velocities)
-        ]
-        press = [_phase_shift(p, X[j]) for j, p in enumerate(traj.pressures)]
-        lin = traj.pressure_linear
-        lin = (np.zeros((len(traj), 3)) if lin is None else lin.copy()) - vd
-        return Trajectory(traj.times, vels, press, pressure_linear=lin)
+        v, X, vd = tr.on_times(times)
+        return lambda j, t, u, p, a: (
+            t, _add_mean(_phase_shift(u, X[j]), v[j]), _phase_shift(p, X[j]),
+            (np.zeros(3) if a is None else a) - vd[j])
     if isinstance(tr, Forcing):
-        if len(tr.q) != len(traj):
+        q = tr.q * len(times) if len(tr.q) == 1 else tr.q
+        if len(q) != len(times):
             raise ValueError("forcing shift samples must match stored times")
-        press = [
-            ScalarField(p.grid, p.coeffs + qk.coeffs)
-            for p, qk in zip(traj.pressures, tr.q)
-        ]
-        return Trajectory(traj.times, list(traj.velocities), press,
-                          pressure_linear=traj.pressure_linear)
+        return lambda j, t, u, p, a: (
+            t, u, ScalarField(p.grid, p.coeffs + q[j].coeffs), a)
     raise TypeError(f"unknown transform {type(tr).__name__}")
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from nslab import spectral as sp
-from nslab.solver import SolverConfig, evolve, with_diagnostics, with_pressures
+from nslab.solver import (SolverConfig, diagnostics_table, evolve,
+                          recording_rows)
 from nslab.spaces import DataTriple
+from nslab.symmetry import state_map
 
 
 def random_vector(grid, seed=0, kmax=None, slope=-2.0):
@@ -45,6 +47,23 @@ def states(traj):
     return zip(traj.times, traj.velocities)
 
 
+def rows_of(stream, data):
+    """The DiagnosticsTable of a stream of (t, u), made by recording_rows."""
+    rows = []
+    for _ in recording_rows(stream, data, rows):
+        pass
+    return diagnostics_table(rows)
+
+
+def images(tr, stream, times):
+    """The image under tr of a stream of (t, u, p, a) stored at times."""
+    image = state_map(tr, times)
+    for j, state in enumerate(stream):
+        out = image(j, *state)
+        if out is not None:
+            yield out
+
+
 @pytest.fixture(scope="session")
 def grid8():
     return sp.make_grid(1.0, 8)
@@ -62,9 +81,9 @@ def grid32():
 
 @pytest.fixture(scope="session")
 def short_run(grid16):
-    """One small trajectory, with its pressures and diagnostics, reused by
-    the diagnostics-oriented tests."""
+    """One small trajectory and the diagnostic rows of its states, reused
+    by the diagnostics-oriented tests."""
     data = DataTriple(random_divfree(grid16, seed=7, kmax=3), [], 0.02)
     cfg = SolverConfig(dt=5e-4)
-    return data, cfg, with_diagnostics(with_pressures(evolve(data, cfg), data),
-                                       data)
+    traj = evolve(data, cfg)
+    return data, cfg, traj, rows_of(states(traj), data)

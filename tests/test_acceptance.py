@@ -17,12 +17,13 @@ from nslab.cli import generate_data, load_baselines, parse_config, run
 from nslab.divfree import AnnulusSpec, localize_divfree, spectral_sampler, \
     to_torus_field
 from nslab.estimates import total_speed
-from nslab.solver import (SolverConfig, evolve, picard_solve, residual,
-                          with_pressures)
+from nslab.solver import (SolverConfig, evolve, march, picard_solve,
+                          pressured, residual)
 from nslab.spaces import DataTriple, h1_data_norm, sobolev_norm, xs_distance
 from nslab.symmetry import Scale, apply
 
-from conftest import random_divfree, random_scalar, random_vector, states
+from conftest import (images, random_divfree, random_scalar, random_vector,
+                      states)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -98,14 +99,13 @@ def test_exact_solutions_and_time_convergence(grid32):
     tg[0] = np.sin(tau * x) * np.cos(tau * y)
     tg[1] = -np.cos(tau * x) * np.sin(tau * y)
     data = DataTriple(sp.vector_from_samples(grid32, tg), [], 1.0)
-    traj = with_pressures(evolve(data, SolverConfig(dt=1e-3, store_every=100)),
-                          data)
+    _, u, p, _ = list(pressured(
+        march(data, SolverConfig(dt=1e-3, store_every=100)), data))[-1]
     tg_err = float(np.max(np.abs(
-        np.real(traj.velocities[-1].samples()) - tg * np.exp(-2.0 * tau**2))))
+        np.real(u.samples()) - tg * np.exp(-2.0 * tau**2))))
     p_exact = 0.25 * (np.cos(2.0 * tau * x) + np.cos(2.0 * tau * y)) \
         * np.exp(-4.0 * tau**2)
-    tg_err = max(tg_err, float(np.max(np.abs(
-        np.real(traj.pressures[-1].samples()) - p_exact))))
+    tg_err = max(tg_err, float(np.max(np.abs(np.real(p.samples()) - p_exact))))
 
     # second-order convergence of the equation residual; the slow shear
     # flow on a wide box keeps the largest step inside the asymptotic range
@@ -116,8 +116,8 @@ def test_exact_solutions_and_time_convergence(grid32):
     res = []
     for dt in dts:
         d = DataTriple(sp.vector_from_samples(wide, u0), [], 0.1)
-        traj = with_pressures(evolve(d, SolverConfig(dt=dt)), d)
-        res.append(float(np.max(residual(traj, d))))
+        stream = pressured(march(d, SolverConfig(dt=dt)), d)
+        res.append(float(np.max(residual(stream, d, 0.0))))
     slope = float(np.polyfit(np.log(dts), np.log(res), 1)[0])
 
     elapsed = time.time() - t0
@@ -190,7 +190,8 @@ def test_bounded_total_speed_suite(tmp_path, grid16):
                                      amplitude=0.3), [], 0.1)
     traj = evolve(data, SolverConfig(dt=1e-3))
     _, ratio = total_speed(states(traj), data)
-    _, scaled_ratio = total_speed(states(apply(Scale(2.0), traj)),
+    scaled = images(Scale(2.0), pressured(states(traj), data), traj.times)
+    _, scaled_ratio = total_speed(((t, u) for t, u, _, _ in scaled),
                                   apply(Scale(2.0), data))
     drift = abs(scaled_ratio - ratio) / ratio
     report("bounded-total-speed",

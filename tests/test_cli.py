@@ -284,10 +284,13 @@ harness.r = 0.1
 """
 
 
-@pytest.mark.parametrize("experiment", ["total-speed", "energy-budget"])
+@pytest.mark.parametrize("experiment", ["total-speed", "energy-budget",
+                                        "solve", "symmetry-suite"])
 def test_streamed_runs_hold_no_stored_states(tmp_path, experiment):
     # held, 201 stored N=16 states (110 kB each) would raise the traced
-    # peak about tenfold over 21; reduced as they arrive, they add nothing
+    # peak about tenfold over 21; reduced as they arrive, they add nothing.
+    # The solve and the symmetry suite hold a window of three states per
+    # residual stream and a pressure per state in it, and no more
     peaks = []
     for T in ("0.002", "0.02"):  # 21 and 201 stored states
         cfg = parse_config(write_cfg(
@@ -477,6 +480,28 @@ def test_misordered_annulus_exits_two_before_the_data(tmp_path, monkeypatch):
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 2
     assert "annulus radii" in manifest.error
+
+
+LOCALIZE_CFG = ("experiment = localize\ngrid.N = 16\n"
+                "localize.R1 = 0.1\nlocalize.R2 = 0.2\n"
+                "localize.R3 = 0.3\nlocalize.R4 = 0.4\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    (LOCALIZE_CFG + "localize.l_max = 0\n", "localize.l_max"),
+    (LOCALIZE_CFG + "localize.n_r = 1\n", "localize.n_r"),
+    (SOLVE_CFG + "forcing.kind = random-band\nforcing.samples = 0\n",
+     "forcing.samples"),
+], ids=["l_max", "n_r", "forcing-samples"])
+def test_counts_below_their_least_value_exit_two_before_the_data(
+        tmp_path, monkeypatch, text, key):
+    # unchecked, the first two fail the localize verdict with value nan
+    # once the data are made (exit 1), and no forcing sample runs unforced
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    manifest, code = run(parse_config(write_cfg(tmp_path, text)),
+                         outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert f"{key} must be at least" in manifest.error
 
 
 ENSTROPHY_CFG = ("experiment = enstrophy-loc\ngrid.N = 16\n"

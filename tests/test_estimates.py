@@ -15,10 +15,10 @@ from nslab.estimates import (
     periodic_distance,
     total_speed,
 )
-from nslab.solver import SolverConfig, evolve, march, with_diagnostics
-from nslab.spaces import DataTriple, Trajectory
+from nslab.solver import SolverConfig, evolve, march
+from nslab.spaces import DataTriple
 
-from conftest import random_divfree, states
+from conftest import random_divfree, rows_of, states
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +57,8 @@ def test_shrinking_cutoff_radius_never_grows():
 
 
 def test_global_energy_identity_holds(short_run):
-    data, _, traj = short_run
-    defect, ratio = energy_identity(traj.diagnostics, traj.meta["eps"], data)
+    data, cfg, _, rows = short_run
+    defect, ratio = energy_identity(rows, cfg.eps, data)
     assert defect <= 1e-4
     # unforced, the balance starts at the data's energy and keeps it
     assert abs(ratio - 1.0) <= 1e-4
@@ -68,35 +68,28 @@ def test_global_energy_identity_holds(short_run):
 def test_global_energy_identity_counts_the_hyperdissipation(grid16, eps):
     # without the eps ||Delta u||^2 term the defect reads 7e-3 and 6e-2
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
-    traj = with_diagnostics(evolve(data, SolverConfig(dt=1e-4, eps=eps)), data)
-    defect, ratio = energy_identity(traj.diagnostics, eps, data)
+    rows = rows_of(march(data, SolverConfig(dt=1e-4, eps=eps)), data)
+    defect, ratio = energy_identity(rows, eps, data)
     assert defect <= 1e-6
     assert ratio <= 1.0 + 1e-4
 
 
-def test_global_energy_identity_needs_diagnostics(grid16):
-    u = random_divfree(grid16, seed=1)
-    traj = Trajectory(np.array([0.0, 0.1]), [u, u], [])
-    with pytest.raises(ValueError, match="with_diagnostics"):
-        energy_identity(traj.diagnostics, 0.0, DataTriple(u, [], 0.1))
-
-
 def test_local_energy_stays_below_the_budget(short_run):
-    data, _, traj = short_run
+    data, _, traj, _ = short_run
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
     ratio = energy_budget(states(traj), cut, data)
     assert 0.0 < ratio <= 1.0
 
 
 def test_exterior_region_budget(short_run):
-    data, _, traj = short_run
+    data, _, traj, _ = short_run
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.25, r=0.1)
     ratio = energy_budget(states(traj), cut, data, region="exterior")
     assert 0.0 < ratio <= 1.0
 
 
 def test_unknown_region_raises(short_run):
-    data, _, traj = short_run
+    data, _, traj, _ = short_run
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
     with pytest.raises(ValueError):
         energy_budget(states(traj), cut, data, region="shell")
@@ -121,7 +114,7 @@ def test_local_budget_is_monotone_in_the_data(grid16):
 
 
 def test_total_speed_ratio_is_positive_and_modest(short_run):
-    data, _, traj = short_run
+    data, _, traj, _ = short_run
     value, ratio = total_speed(states(traj), data)
     assert value > 0.0
     assert 0.0 < ratio < 1.0

@@ -10,19 +10,20 @@ from nslab.solver import (
     SolverConfig,
     bilinear_B,
     evolve,
+    march,
     normalised_pressure,
     picard_solve,
+    pressured,
     residual,
-    with_diagnostics,
-    with_pressures,
+    stored_times,
     _diag_row,
     _nonlinear,
 )
 from nslab import solver
-from nslab.spaces import DataTriple, Trajectory, xs_distance
+from nslab.spaces import DataTriple, xs_distance
 from nslab.symmetry import Scale, apply
 
-from conftest import random_divfree, random_vector
+from conftest import images, random_divfree, random_vector, rows_of, states
 
 
 def shear_data(grid, amp=1.0, T=0.01):
@@ -260,14 +261,13 @@ def test_planar_vortex_array_decays_exactly(grid16):
 
 def test_planar_vortex_array_pressure_closed_form(grid16):
     data = taylor_green_data(grid16, amp=0.9, T=0.02)
-    traj = with_pressures(evolve(data, SolverConfig(dt=1e-3)), data)
+    t, _, p, _ = list(pressured(march(data, SolverConfig(dt=1e-3)), data))[-1]
     tau = 2.0 * np.pi
-    t = traj.times[-1]
     x, y, _ = grid16.nodes()
     expect = 0.25 * 0.9**2 * np.exp(-4.0 * tau**2 * t) * (
         np.cos(2.0 * tau * x) + np.cos(2.0 * tau * y)
     )
-    got = np.real(traj.pressures[-1].samples())
+    got = np.real(p.samples())
     assert np.max(np.abs(got - expect)) < 1e-11
 
 
@@ -277,28 +277,30 @@ def test_planar_vortex_array_pressure_closed_form(grid16):
 
 def test_store_every_subsamples_but_keeps_endpoint(grid8):
     data = DataTriple(random_divfree(grid8, seed=8, kmax=2), [], 0.01)
-    traj = evolve(data, SolverConfig(dt=1e-3, store_every=3))
+    cfg = SolverConfig(dt=1e-3, store_every=3)
+    traj = evolve(data, cfg)
     assert traj.times[0] == 0.0
     assert np.isclose(traj.times[-1], 0.01)
     assert np.allclose(np.diff(traj.times)[:-1], 3e-3)
-    # steps 0, 3, 6, 9 and the endpoint 10: nothing between is kept
+    # steps 0, 3, 6, 9 and the endpoint 10: nothing between is kept, and
+    # the times are known before the march
     assert len(traj.velocities) == 5
-    # and the solver makes no pressure and no diagnostic row;
-    # with_pressures and with_diagnostics make one per state
+    assert np.array_equal(stored_times(data, cfg), traj.times)
+    # the solver makes no pressure and no diagnostic row; pressured and
+    # recording_rows make one per state as the states pass
     assert traj.pressures == [] and traj.diagnostics is None
-    assert len(with_pressures(traj, data).pressures) == 5
-    assert np.array_equal(with_diagnostics(traj, data).diagnostics.t,
-                          traj.times)
+    assert len(list(pressured(states(traj), data))) == 5
+    assert np.array_equal(rows_of(states(traj), data).t, traj.times)
 
 
 def test_energy_decreases_without_forcing(short_run):
-    _, _, traj = short_run
-    assert np.all(np.diff(traj.diagnostics.energy) < 0.0)
+    _, _, _, rows = short_run
+    assert np.all(np.diff(rows.energy) < 0.0)
 
 
 def test_residual_is_small_on_a_solver_run(short_run):
-    data, cfg, traj = short_run
-    res = residual(traj, data)
+    data, cfg, traj, _ = short_run
+    res = residual(pressured(states(traj), data), data, cfg.eps)
     # central differencing carries its own O(dt^2) error floor, largest
     # while the fast modes still move; the tail settles well below it
     assert np.max(res) < 0.5
@@ -309,18 +311,8 @@ def test_residual_is_small_on_a_solver_run(short_run):
 def test_residual_needs_three_samples(grid8):
     u = random_divfree(grid8, seed=10, kmax=2)
     data = DataTriple(u, [], 1.0)
-    traj = Trajectory(np.array([0.0, 0.1]), [u, u], [])
-    with pytest.raises(ValueError):
-        residual(traj, data)
-
-
-def test_residual_needs_the_pressures(short_run):
-    # without them the defect would silently leave out grad p
-    data, _, traj = short_run
-    stripped = Trajectory(traj.times, list(traj.velocities), [],
-                          diagnostics=traj.diagnostics, meta=traj.meta)
-    with pytest.raises(ValueError, match="pressures"):
-        residual(stripped, data)
+    with pytest.raises(ValueError, match="three"):
+        residual(pressured(zip([0.0, 0.1], [u, u]), data), data, 0.0)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
@@ -346,8 +338,8 @@ def test_residual_shrinks_with_dt(grid16):
     data = taylor_green_data(grid16, amp=0.5, T=0.01)
     res = {}
     for dt in (2e-3, 1e-3):
-        traj = with_pressures(evolve(data, SolverConfig(dt=dt)), data)
-        res[dt] = float(np.max(residual(traj, data)))
+        stream = pressured(march(data, SolverConfig(dt=dt)), data)
+        res[dt] = float(np.max(residual(stream, data, 0.0)))
     # the probe is second order, so halving dt should cut it near 4x
     assert res[1e-3] < 0.4 * res[2e-3]
 
@@ -386,8 +378,8 @@ def test_picard_diagnoses_only_the_returned_states(grid16, monkeypatch):
     assert traj.meta["picard_iterations"] >= 2
     # no row, no sup norm and no pressure: each is left to its readers
     assert calls == {"row": 0, "sup": 0, "pressure": 0}
-    # and with_diagnostics makes a row for each returned state only
-    with_diagnostics(traj, data)
+    # and recording_rows makes a row for each returned state only
+    rows_of(states(traj), data)
     assert calls == {"row": len(traj.times), "sup": 0, "pressure": 0}
 
 
@@ -405,9 +397,9 @@ def test_picard_store_every_subsamples_the_fixed_point_bit_for_bit(grid16):
     for j, n in enumerate(steps):
         assert np.array_equal(sparse.velocities[j].coeffs,
                               dense.velocities[n].coeffs)
-    d = with_diagnostics(sparse, data).diagnostics
+    d = rows_of(states(sparse), data)
     assert np.array_equal(d.t, sparse.times)
-    pressures = with_pressures(sparse, data).pressures
+    pressures = [p for _, _, p, _ in pressured(states(sparse), data)]
     for j, (t, v) in enumerate(zip(sparse.times, sparse.velocities)):
         f = data.f_at(t)
         row = (d.energy[j], d.grad_sq[j], d.lap_sq[j], d.enstrophy[j],
@@ -442,18 +434,21 @@ def test_hyperdissipation_decays_single_mode_exactly(grid16):
 
 def test_hyperdissipation_loses_energy_faster(grid16):
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
-    plain = evolve(data, SolverConfig(dt=1e-3))
-    hyper = evolve(data, SolverConfig(dt=1e-3, eps=1e-3))
-    assert (with_diagnostics(hyper, data).diagnostics.energy[-1]
-            < with_diagnostics(plain, data).diagnostics.energy[-1])
+    plain = rows_of(march(data, SolverConfig(dt=1e-3)), data)
+    hyper = rows_of(march(data, SolverConfig(dt=1e-3, eps=1e-3)), data)
+    assert hyper.energy[-1] < plain.energy[-1]
 
 
-def test_residual_reads_the_hyperdissipation_from_the_trajectory(grid16):
+def test_residual_reads_the_hyperdissipation_coefficient(grid16):
     # left out, the eps Delta^2 u term makes the defect read 29.9 here, not
-    # 0.038; a Scale(2) image carries 4 eps and must read base * 2^(-3/2)
+    # 0.038; a Scale(2) image, read with 4 eps, must read base * 2^(-3/2)
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
-    traj = with_pressures(evolve(data, SolverConfig(dt=1e-4, eps=1e-3)), data)
-    base = residual(traj, data)
+    eps = 1e-3
+    traj = evolve(data, SolverConfig(dt=1e-4, eps=eps))
+    base = residual(pressured(states(traj), data), data, eps)
     assert np.max(base) < 0.1
-    scaled = residual(apply(Scale(2.0), traj), apply(Scale(2.0), data))
+    assert np.max(residual(pressured(states(traj), data), data, 0.0)) > 1.0
+    scaled = residual(
+        images(Scale(2.0), pressured(states(traj), data), traj.times),
+        apply(Scale(2.0), data), 4.0 * eps)
     assert np.allclose(scaled, 2.0**-1.5 * base, rtol=1e-12, atol=0.0)

@@ -194,7 +194,12 @@ def test_every_definition_is_reached_from_the_command_line():
 
 # (module, class, member) -> reason, for members of reached classes that
 # no code in the package reads but that stay on purpose.
-UNREAD_MEMBERS = {}
+UNREAD_MEMBERS = {
+    ("spaces", "Trajectory", "pressures"): "bench/tracing.py reads it; goes "
+                                           "with ROADMAP item 1",
+    ("spaces", "Trajectory", "diagnostics"): "bench/tracing.py reads it; "
+                                             "goes with ROADMAP item 1",
+}
 
 
 def _is_dataclass(node):
@@ -259,7 +264,7 @@ def test_every_member_of_a_reached_class_is_read():
 # Defaulted function parameters plus defaulted dataclass fields in the
 # package: each is a value a caller can set.  Lower this when a change
 # removes some; raise it only with a reason stated in the change.
-SETTABLE_VALUES = 46
+SETTABLE_VALUES = 44
 
 
 def _settable_values(tree):

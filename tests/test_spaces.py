@@ -16,9 +16,9 @@ from nslab.spaces import (
     sobolev_norm,
     xs_distance,
 )
-from nslab.solver import SolverConfig, evolve, with_diagnostics
+from nslab.solver import SolverConfig, march
 
-from conftest import random_divfree, random_vector
+from conftest import random_divfree, random_vector, rows_of
 
 
 def single_mode(grid, k, amp=1.0):
@@ -90,13 +90,13 @@ def test_forcing_interpolation_endpoints(grid16):
 def test_trajectory_rejects_decreasing_times(grid16):
     u = random_divfree(grid16, seed=10)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.2, 0.1]), [u, u, u], [])
+        Trajectory(np.array([0.0, 0.2, 0.1]), [u, u, u])
 
 
 def test_trajectory_rejects_length_mismatch(grid16):
     u = random_divfree(grid16, seed=11)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1]), [u], [])
+        Trajectory(np.array([0.0, 0.1]), [u])
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_trajectory_rejects_length_mismatch(grid16):
 def make_traj(grid, n=4, seed=12):
     times = np.linspace(0.0, 0.3, n)
     vels = [random_divfree(grid, seed=seed + j) for j in range(n)]
-    return Trajectory(times, vels, [])
+    return Trajectory(times, vels)
 
 
 def test_xs_distance_of_a_constant_difference(grid8):
@@ -114,7 +114,7 @@ def test_xs_distance_of_a_constant_difference(grid8):
     a = make_traj(grid8, n=5, seed=40)
     d = random_divfree(grid8, seed=60)
     b = Trajectory(a.times, [sp.vector_from_coeffs(grid8, u.coeffs - d.coeffs)
-                             for u in a.velocities], [])
+                             for u in a.velocities])
     expect = sobolev_norm(d, 1.0) + sobolev_norm(d, 2.0) * np.sqrt(a.T)
     assert np.isclose(xs_distance(a, b), expect, rtol=1e-12)
 
@@ -124,9 +124,9 @@ def test_xs_distance_of_a_single_spike(grid8):
     # weight of that sample is (t[j+1] - t[j-1]) / 2
     times = np.array([0.0, 0.1, 0.25, 0.3])
     a = Trajectory(times, [random_divfree(grid8, seed=70 + j)
-                           for j in range(4)], [])
+                           for j in range(4)])
     d = random_divfree(grid8, seed=80)
-    b = Trajectory(times, list(a.velocities), [])
+    b = Trajectory(times, list(a.velocities))
     b.velocities[2] = sp.vector_from_coeffs(
         grid8, a.velocities[2].coeffs - d.coeffs)
     expect = (sobolev_norm(d, 1.0)
@@ -214,10 +214,10 @@ def test_enstrophy_of_single_mode(grid16):
     k = 2
     u = single_mode(grid16, k)
     data = DataTriple(u, [], 1e-3)
-    traj = with_diagnostics(evolve(data, SolverConfig(dt=1e-3)), data)
+    rows = rows_of(march(data, SolverConfig(dt=1e-3)), data)
     # curl of sin(2 pi k x) e_y has magnitude 2 pi k cos(...)
     expect = 0.5 * (2.0 * np.pi * k) ** 2 * sp.l2_norm(u) ** 2
-    assert np.isclose(traj.diagnostics.enstrophy[0], expect, rtol=1e-10)
+    assert np.isclose(rows.enstrophy[0], expect, rtol=1e-10)
 
 
 def test_h1_data_norm_integrated_variant(grid16):

@@ -1,4 +1,4 @@
-"""The transform group acting on data and trajectories, plus the
+"""The transform group acting on data and on streams of states, plus the
 oscillatory-shift pairing decay."""
 
 import numpy as np
@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from nslab import spectral as sp
 from nslab.estimates import energy_identity
-from nslab.solver import (SolverConfig, evolve, residual, with_diagnostics,
-                          with_pressures)
-from nslab.spaces import DataTriple, Trajectory, energy
+from nslab.solver import SolverConfig, evolve, pressured, residual
+from nslab.spaces import DataTriple, energy
 from nslab.symmetry import (
     Forcing,
     Galilean,
@@ -19,10 +18,11 @@ from nslab.symmetry import (
     SpaceTranslate,
     TimeTranslate,
     apply,
+    state_map,
     weak_pairing_decay,
 )
 
-from conftest import random_divfree, random_scalar
+from conftest import images, random_divfree, random_scalar, rows_of, states
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +107,18 @@ def test_scale_round_trips(grid16):
 
 
 # ---------------------------------------------------------------------------
-# trajectory actions
+# actions on the states of a stream
 
 
 def small_traj(grid, seed=6, T=0.01, dt=1e-3):
     data = DataTriple(random_divfree(grid, seed=seed, kmax=3), [], T)
-    return data, with_pressures(evolve(data, SolverConfig(dt=dt)), data)
+    return data, evolve(data, SolverConfig(dt=dt))
+
+
+def image_of(tr, data, traj):
+    """The image under tr of the stream of traj's states with their
+    pressures, as a list."""
+    return list(images(tr, pressured(states(traj), data), traj.times))
 
 
 def test_time_translate_rejects_data(grid16):
@@ -122,25 +128,25 @@ def test_time_translate_rejects_data(grid16):
 
 
 def test_time_translate_shifts_the_clock(grid16):
-    _, traj = small_traj(grid16)
+    data, traj = small_traj(grid16)
     t0 = float(traj.times[4])
-    out = apply(TimeTranslate(t0), traj)
-    assert out.times[0] == 0.0
+    out = image_of(TimeTranslate(t0), data, traj)
+    assert out[0][0] == 0.0
     assert len(out) == len(traj) - 4
-    assert np.max(np.abs(out.velocities[0].coeffs
+    assert np.max(np.abs(out[0][1].coeffs
                          - traj.velocities[4].coeffs)) == 0.0
 
 
 def test_time_translate_outside_range_raises(grid16):
     _, traj = small_traj(grid16)
     with pytest.raises(ValueError):
-        apply(TimeTranslate(traj.T * 3.0), traj)
+        state_map(TimeTranslate(traj.T * 3.0), traj.times)
 
 
 def test_pressure_shift_touches_only_the_mean(grid16):
-    _, traj = small_traj(grid16)
-    out = apply(PressureShift(2.5), traj)
-    for p, q in zip(traj.pressures, out.pressures):
+    data, traj = small_traj(grid16)
+    out = image_of(PressureShift(2.5), data, traj)
+    for (_, _, p, _), (_, _, q, _) in zip(pressured(states(traj), data), out):
         diff = q.coeffs - p.coeffs
         assert np.isclose(diff[0, 0, 0], 2.5)
         diff[0, 0, 0] = 0.0
@@ -148,59 +154,72 @@ def test_pressure_shift_touches_only_the_mean(grid16):
 
 
 def test_galilean_sets_the_linear_pressure_part(grid16):
-    _, traj = small_traj(grid16)
+    data, traj = small_traj(grid16)
     vdot = np.array([0.2, -0.1, 0.05])
-    out = apply(Galilean(np.tile(vdot, (5, 1)) * traj.times[-1],
-                         v_dot=np.tile(vdot, (5, 1))), traj)
-    assert out.pressure_linear is not None
-    assert np.allclose(out.pressure_linear, -vdot, atol=1e-12)
+    out = image_of(Galilean(np.tile(vdot, (5, 1)) * traj.times[-1],
+                            v_dot=np.tile(vdot, (5, 1))), data, traj)
+    assert len(out) == len(traj)
+    for _, _, _, a in out:
+        assert np.allclose(a, -vdot, atol=1e-12)
 
 
 def test_galilean_constant_speed_adds_a_mean(grid16):
     data, traj = small_traj(grid16)
     v = np.array([0.3, 0.0, -0.2])
-    out = apply(Galilean(v), traj)
-    for u in out.velocities:
+    for _, u, _, _ in image_of(Galilean(v), data, traj):
         assert np.allclose(np.real(u.mean()), v, atol=1e-13)
 
 
 def test_transformed_trajectory_still_solves_the_equations(grid16):
     data, traj = small_traj(grid16, T=0.01, dt=5e-4)
-    base = float(np.max(residual(traj, data)))
-    moved_t = apply(SpaceTranslate((0.21, 0.13, 0.34)), traj)
-    moved_d = apply(SpaceTranslate((0.21, 0.13, 0.34)), data)
-    r = float(np.max(residual(moved_t, moved_d)))
+    base = float(np.max(residual(pressured(states(traj), data), data, 0.0)))
+    tr = SpaceTranslate((0.21, 0.13, 0.34))
+    r = float(np.max(residual(image_of(tr, data, traj), apply(tr, data), 0.0)))
     assert abs(r - base) < 1e-9 * max(base, 1.0)
 
 
-def test_trajectory_transforms_carry_the_meta(grid16):
-    # the global budget of a hyperdissipative run reads meta["eps"]; a
-    # transform that dropped it would leave out the eps ||Delta u||^2 drain
-    # (the defect of the translate then reads 6e-2)
+def test_transformed_streams_keep_the_energy_identity(grid16):
+    # the global budget of a hyperdissipative run reads eps; a Scale(lam)
+    # image keeps the equation's form only with eps * lam^2, and read with
+    # eps its defect is 4.8e-2
     eps, dt = 1e-3, 1e-4
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
     traj = evolve(data, SolverConfig(dt=dt, eps=eps))
-    for tr in (SpaceTranslate((0.21, 0.13, 0.34)), Scale(2.0)):
+    for tr, tr_eps in ((SpaceTranslate((0.21, 0.13, 0.34)), eps),
+                       (Scale(2.0), 4.0 * eps)):
         moved_data = apply(tr, data)
-        moved = with_diagnostics(apply(tr, traj), moved_data)
-        defect, _ = energy_identity(moved.diagnostics, moved.meta["eps"],
-                                   moved_data)
+        moved = [(t, u) for t, u, _, _ in image_of(tr, data, traj)]
+        defect, _ = energy_identity(rows_of(moved, moved_data), tr_eps,
+                                    moved_data)
         assert defect <= 1e-6
-    scaled = apply(Scale(2.0), traj).meta
-    assert scaled["eps"] == 4.0 * eps
-    assert scaled["dt"] == 4.0 * dt
-    for tr in (TimeTranslate(0.005), PressureShift((0.5,)),
-               Galilean([0.3, 0.0, -0.2])):
-        assert apply(tr, traj).meta == traj.meta
+    scaled = [(t, u) for t, u, _, _ in image_of(Scale(2.0), data, traj)]
+    assert scaled[-1][0] == 4.0 * traj.times[-1]
+    defect, _ = energy_identity(rows_of(scaled, apply(Scale(2.0), data)),
+                                eps, apply(Scale(2.0), data))
+    assert defect > 1e-3
 
 
 def test_forcing_gauge_leaves_the_residual_unchanged(grid16):
     data, traj = small_traj(grid16, T=0.01, dt=5e-4)
     q = random_scalar(grid16, seed=8, kmax=2)
-    tr = Forcing([q] * len(traj.times))
-    r0 = float(np.max(residual(traj, data)))
-    r1 = float(np.max(residual(apply(tr, traj), apply(tr, data))))
-    assert abs(r1 - r0) < 1e-8 * max(r0, 1.0)
+    r0 = float(np.max(residual(pressured(states(traj), data), data, 0.0)))
+    # one sample per stored time, or one sample, constant in time
+    for tr in (Forcing([q] * len(traj.times)), Forcing([q])):
+        r1 = float(np.max(residual(image_of(tr, data, traj), apply(tr, data),
+                                   0.0)))
+        assert abs(r1 - r0) < 1e-8 * max(r0, 1.0)
+
+
+def test_forcing_gauge_of_one_sample_is_constant_in_time(grid16):
+    f = [random_divfree(grid16, seed=20 + k, kmax=2) for k in range(3)]
+    data = DataTriple(random_divfree(grid16, seed=19, kmax=2), f, 0.01)
+    q = random_scalar(grid16, seed=8, kmax=2)
+    one, each = apply(Forcing([q]), data), apply(Forcing([q] * 3), data)
+    assert len(one.f) == 3
+    for a, b in zip(one.f, each.f):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    with pytest.raises(ValueError):
+        apply(Forcing([q] * 2), data)
 
 
 # ---------------------------------------------------------------------------
