@@ -37,8 +37,8 @@ from .estimates import (
 from .packet import (WavePacketSpec, _centered_offsets, check_study,
                      growth_study, wave_packet)
 from .solver import (MomentumResidual, SolverConfig, _diag_row, _time_grid,
-                     diagnostics_table, evolve, march, picard_solve,
-                     pressured, recording_rows, residual, stored_times)
+                     diagnostics_table, march, picard_solve, pressured,
+                     recording_rows, residual, stored_times)
 from .spaces import DataTriple, sobolev_norm
 from .symmetry import (
     Forcing,
@@ -560,19 +560,22 @@ def _solver(cfg: ExperimentConfig):
     return scfg, method
 
 
-def _solve(data, scfg, method):
-    return {"evolve": evolve, "picard": picard_solve}[method](data, scfg)
-
-
 def _solve_states(cfg: ExperimentConfig, grid):
-    """(data, states): the (t, u) of each stored state of the run a config
-    names, streamed from the march, or read off a Picard fixed point."""
+    """(data, scfg, states): the data and the checked SolverConfig of the
+    run a config names, and the (t, u) of each of its stored states."""
     scfg, method = _solver(cfg)
     data = generate_data(cfg.get("data.kind"), cfg, grid)
+    return data, scfg, _states(data, scfg, method)
+
+
+def _states(data, scfg, method):
+    """The stored states of a solve that starts when the first is drawn:
+    the march, or the Picard fixed point."""
     if method == "evolve":
-        return data, march(data, scfg)
-    traj = _solve(data, scfg, method)
-    return data, zip(traj.times, traj.velocities)
+        yield from march(data, scfg)
+    else:
+        traj = picard_solve(data, scfg)
+        yield from zip(traj.times, traj.velocities)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +583,7 @@ def _solve_states(cfg: ExperimentConfig, grid):
 
 
 def _exp_solve(cfg, art, baselines):
-    data, states = _solve_states(cfg, _grid(cfg))
+    data, _, states = _solve_states(cfg, _grid(cfg))
     rows, sup, last = [], [], None
 
     def passing(states):
@@ -613,7 +616,7 @@ def _exp_energy_budget(cfg, art, baselines):
         if region not in ENERGY_REGIONS:
             raise ConfigError(f"{cfg.source}: unknown harness.region {region!r}"
                               f"; choose from {', '.join(ENERGY_REGIONS)}")
-    data, states = _solve_states(cfg, grid)
+    data, _, states = _solve_states(cfg, grid)
     # one pass over the states: each state's row is recorded as it passes
     # on to the local budget
     rows = []
@@ -643,7 +646,7 @@ def _exp_total_speed(cfg, art, baselines):
     if T > grid.L**2 * (1.0 + 1e-12):
         raise ConfigError(f"{cfg.source}: the total speed bound needs "
                           f"T <= L^2; got solver.T = {T}, L^2 = {grid.L**2}")
-    data, states = _solve_states(cfg, grid)
+    data, _, states = _solve_states(cfg, grid)
     value, ratio = total_speed(states, data)
     np.savetxt(art.path("total_speed.csv"),
                np.array([[value, ratio]]), delimiter=",",
@@ -654,12 +657,15 @@ def _exp_total_speed(cfg, art, baselines):
 
 def _exp_enstrophy(cfg, art, baselines):
     grid = _grid(cfg)
-    scfg, method = _solver(cfg)
-    data = generate_data(cfg.get("data.kind"), cfg, grid)
     ball = (cfg.require("harness.x0"), cfg.require("harness.R"))
     delta, c, r = (cfg.require("harness." + k) for k in ("delta", "c", "r"))
+    for key, value in (("harness.delta", delta), ("harness.c", c)):
+        if value <= 0:
+            raise ConfigError(f"{cfg.source}: {key} must be positive, got "
+                              f"{value}")
+    data, scfg, states = _solve_states(cfg, grid)
     # the hypotheses need the data and the horizon only, so they are
-    # checked before the solve, over the march's last stored time
+    # checked before the first state is drawn, over the last stored time
     n_steps, dt = _time_grid(data, scfg)
     try:
         art.hypotheses = enstrophy_hypotheses(ball, delta, c, r, data,
@@ -668,7 +674,7 @@ def _exp_enstrophy(cfg, art, baselines):
         art.hypotheses = exc.measured
         return [Verdict("enstrophy-hypotheses", False, float("nan"),
                         float("nan"), note=exc.tag)]
-    rep = enstrophy_localisation(_solve(data, scfg, method), ball, delta, c, r)
+    rep = enstrophy_localisation(states, ball, delta, c, r)
     np.savetxt(art.path("enstrophy.csv"),
                np.column_stack([rep.times, rep.W, rep.radius_path]),
                delimiter=",", header="t,W,R_prime", comments="")
@@ -790,8 +796,7 @@ def _exp_homogenize(cfg, art, baselines):
 
 def _exp_symmetry(cfg, art, baselines):
     grid = _grid(cfg)
-    scfg, _ = _solver(cfg)
-    data, states = _solve_states(cfg, grid)
+    data, scfg, states = _solve_states(cfg, grid)
     eps = scfg.eps
     # the stored time grid is known before the march, and with it the
     # image of every state under every transform

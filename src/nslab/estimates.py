@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .spaces import (DataTriple, DiagnosticsTable, Trajectory,
-                     cumulative_simpson, cumulative_trapezoid, energy)
+from .spaces import DataTriple, DiagnosticsTable, cumulative_simpson, energy
 from .spectral import VectorField
 
 __all__ = [
@@ -81,11 +80,6 @@ class ShrinkingCutoff:
     @property
     def slope(self) -> float:
         return self.c**-0.1 * self.delta**2
-
-    def radius_path(self, times, sup_profile, sup_times) -> np.ndarray:
-        """R'(t) on the requested times from the sup-norm history."""
-        acc = cumulative_trapezoid(sup_profile, sup_times)
-        return self.R_prime0 - np.interp(times, sup_times, acc) / self.c
 
     def eta_at(self, d, R_prime_t: float):
         """The weight at points at distance d from the center."""
@@ -290,63 +284,64 @@ def enstrophy_hypotheses(ball, delta: float, c: float, r: float,
     return measured
 
 
-def enstrophy_localisation(traj: Trajectory, ball, delta: float, c: float,
+def enstrophy_localisation(states, ball, delta: float, c: float,
                            r: float) -> EnstrophyReport:
     """Shrinking-cutoff enstrophy tracking inside a ball.
 
     Tracks the localised enstrophy W(t), checks the recession inequality
-    for the cutoff, and measures the conclusion in units of delta.  The
-    caller checks the hypotheses first, with enstrophy_hypotheses.
+    for the cutoff, and measures the conclusion in units of delta.  states
+    is an iterable of (t, u), such as solver.march; each state is reduced
+    as it arrives and none is held.  The caller checks the hypotheses
+    first, with enstrophy_hypotheses.
     """
     x0, R = ball
-    grid = traj.grid
-    d_grid = periodic_distance(grid, x0)
-
     cutoff = ShrinkingCutoff(tuple(x0), R - r / 8.0, delta, c)
-    sup_prof = np.array([sp.sup_norm(u) for u in traj.velocities])
-    radii = cutoff.radius_path(traj.times, sup_prof, traj.times)
-
-    # one pass over the states: each vorticity and its samples are made
-    # once and serve W and both conclusion profiles
-    inner = d_grid <= R - r
-    W = np.empty(len(traj))
-    inner_l2, grad_prof = [], []
-    for j, u in enumerate(traj.velocities):
+    times, W, radii, grad_prof = [], [], [], []
+    inner_max = tax_violation = 0.0
+    for t, u in states:
+        sup = sp.sup_norm(u)
+        if not times:
+            grid = u.grid
+            d_grid = periodic_distance(grid, x0)
+            inner = d_grid <= R - r
+            acc = 0.0
+        else:
+            # R'(t) recedes by 1/c times the trapezoid integral of the sup
+            # profile, extended by one interval per state
+            dt = t - times[-1]
+            acc_prev, acc = acc, acc + dt * (sup + sup_prev) / 2.0
+        radii.append(cutoff.R_prime0 - acc / c)
+        eta = cutoff.eta_at(d_grid, radii[-1])
+        if times:
+            # recession check, in per-step integrated form: the change of
+            # the weight over a step must not exceed
+            # -(1/c) int ||u||_inf |grad eta|.  The weight is piecewise
+            # linear in |x|, so the sharp comparison is made at points that
+            # stay strictly inside the ramp over the step (where
+            # |grad eta| is the constant slope); elsewhere the weight must
+            # simply not increase.
+            deta = (eta - eta_prev) / dt
+            ramp = ((eta_prev > 0.0) & (eta_prev < 1.0)
+                    & (eta > 0.0) & (eta < 1.0))
+            sup_avg = (acc - acc_prev) / dt
+            tax_violation = max(tax_violation, float(np.max(np.where(
+                ramp, deta + sup_avg * cutoff.slope / c, deta))))
+        # each vorticity and its samples are made once and serve W and
+        # both conclusion profiles
         om = sp.curl(u)
         sq = np.real(om.samples()) ** 2
-        eta = cutoff.eta_at(d_grid, radii[j])
-        W[j] = 0.5 * np.sum(np.sum(sq, axis=0) * eta) * grid.cell_volume
-        inner_l2.append(_masked_l2_of(sq, inner, grid))
+        W.append(0.5 * np.sum(np.sum(sq, axis=0) * eta) * grid.cell_volume)
+        inner_max = max(inner_max, _masked_l2_of(sq, inner, grid))
         grad_prof.append(
             np.sum(_grad_samples_sq(om) * inner) * grid.cell_volume)
+        times.append(t)
+        sup_prev, eta_prev = sup, eta
 
-    # recession check, in per-step integrated form: the change of the
-    # weight over a step must not exceed -(1/c) int ||u||_inf |grad eta|.
-    # The weight is piecewise linear in |x|, so the sharp comparison is
-    # made at points that stay strictly inside the ramp over the step
-    # (where |grad eta| is the constant slope); elsewhere the weight must
-    # simply not increase.
-    tax_violation = 0.0
-    acc = cumulative_trapezoid(sup_prof, traj.times)
-    eta1 = cutoff.eta_at(d_grid, radii[0])
-    for j in range(len(traj) - 1):
-        dt = traj.times[j + 1] - traj.times[j]
-        eta0, eta1 = eta1, cutoff.eta_at(d_grid, radii[j + 1])
-        deta = (eta1 - eta0) / dt
-        ramp = (eta0 > 0.0) & (eta0 < 1.0) & (eta1 > 0.0) & (eta1 < 1.0)
-        sup_avg = (acc[j + 1] - acc[j]) / dt
-        tax_violation = max(
-            tax_violation,
-            float(np.max(np.where(
-                ramp, deta + sup_avg * cutoff.slope / c, deta
-            ))),
-        )
-
-    lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, traj.times)))
+    lhs = inner_max + float(np.sqrt(np.trapezoid(grad_prof, times)))
     return EnstrophyReport(
-        times=traj.times,
-        W=W,
+        times=np.array(times),
+        W=np.array(W),
         conclusion_ratio=lhs / delta,
         tax_violation=tax_violation,
-        radius_path=radii,
+        radius_path=np.array(radii),
     )

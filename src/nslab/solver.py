@@ -282,7 +282,8 @@ def _stiff_symbol(grid, eps):
 
 def evolve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
     """Long-time stepping of the (hyper)dissipative system; no smallness
-    assumption: the stored states of march, held."""
+    assumption: the stored states of march, held.  The experiments read
+    march; tests hold solves with this."""
     times, states = [], []
     for t, u in march(data, cfg):
         times.append(t)

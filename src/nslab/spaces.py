@@ -115,7 +115,8 @@ class DiagnosticsTable:
 
 @dataclass
 class Trajectory:
-    """Stored velocity samples of a solve.
+    """Stored velocity samples of a held solve: a Picard fixed point, or
+    the march's states held by solver.evolve.
 
     ``times`` are the stored sample times (strictly increasing, starting at
     the initial time), one per velocity in ``velocities``.  A trajectory
@@ -144,14 +145,6 @@ class Trajectory:
     def diagnostics(self) -> None:
         """Always None: no trajectory holds diagnostic rows."""
         return None
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.velocities[0].grid
-
-    @property
-    def T(self) -> float:
-        return float(self.times[-1])
 
     def __len__(self):
         return len(self.times)

@@ -269,7 +269,8 @@ def test_runs_make_only_the_sup_norms_and_pressures_they_read(
                      "row": ROWS_MADE[experiment]}
 
 
-# the total-speed run reads no harness key
+# the total-speed run reads no harness key, and only the enstrophy run
+# reads delta and c; with them its hypotheses hold at both horizons
 STREAM_CFG = """\
 experiment = {experiment}
 grid.N = 16
@@ -281,11 +282,14 @@ solver.T = {T}
 harness.x0 = 0.5, 0.5, 0.5
 harness.R = 0.3
 harness.r = 0.1
+harness.delta = 8.0
+harness.c = 200.0
 """
 
 
 @pytest.mark.parametrize("experiment", ["total-speed", "energy-budget",
-                                        "solve", "symmetry-suite"])
+                                        "enstrophy-loc", "solve",
+                                        "symmetry-suite"])
 def test_streamed_runs_hold_no_stored_states(tmp_path, experiment):
     # held, 201 stored N=16 states (110 kB each) would raise the traced
     # peak about tenfold over 21; reduced as they arrive, they add nothing.
@@ -529,11 +533,17 @@ def test_enstrophy_hypothesis_violation_is_a_tagged_fail(tmp_path):
     assert hyp["delta-4"] > 0.01
 
 
+@pytest.mark.parametrize("method, solve", [("evolve", "march"),
+                                           ("picard", "picard_solve")],
+                         ids=["evolve", "picard"])
 def test_enstrophy_hypothesis_violation_is_found_before_the_solve(
-        tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "evolve", _must_not_run)
-    cfg = parse_config(write_cfg(tmp_path,
-                                 ENSTROPHY_CFG + "harness.delta = 1e4\n"))
+        tmp_path, monkeypatch, method, solve):
+    # the states are drawn only after the hypotheses hold, so neither the
+    # march nor the Picard solve starts
+    monkeypatch.setattr(cli, solve, _must_not_run)
+    cfg = parse_config(write_cfg(
+        tmp_path, ENSTROPHY_CFG + f"harness.delta = 1e4\nsolver.method = "
+        f"{method}\n"))
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 1
     assert manifest.error == ""
@@ -542,6 +552,24 @@ def test_enstrophy_hypothesis_violation_is_found_before_the_solve(
                                           "delta-4")
     assert set(manifest.hypotheses) == {"eeta", "delta-4"}
     assert manifest.hypotheses["delta-4"] > 0.01
+
+
+@pytest.mark.parametrize("delta, c, key", [
+    ("-3", "0.01", "harness.delta"), ("0", "0.01", "harness.delta"),
+    ("3.0", "-0.01", "harness.c"), ("3.0", "0", "harness.c")],
+    ids=["negative-delta", "zero-delta", "negative-c", "zero-c"])
+def test_nonpositive_enstrophy_scales_exit_two_before_the_data(
+        tmp_path, monkeypatch, delta, c, key):
+    # unchecked, a negative delta or c fails the eeta or delta-4 hypothesis
+    # once the data are made (exit 1); the cutoff needs both positive
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    text = (ENSTROPHY_CFG.replace("harness.c = 0.01", f"harness.c = {c}")
+            + f"harness.delta = {delta}\n")
+    manifest, code = run(parse_config(write_cfg(tmp_path, text)),
+                         outdir=str(tmp_path / "out"))
+    assert code == 2
+    assert f"{key} must be positive" in manifest.error
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_enstrophy_hypotheses_go_to_the_manifest_only(tmp_path):

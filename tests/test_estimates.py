@@ -16,7 +16,7 @@ from nslab.estimates import (
     total_speed,
 )
 from nslab.solver import SolverConfig, evolve, march
-from nslab.spaces import DataTriple
+from nslab.spaces import DataTriple, cumulative_trapezoid
 
 from conftest import random_divfree, rows_of, states
 
@@ -43,13 +43,20 @@ def test_shrinking_cutoff_slope():
     assert np.isclose(cut.slope, 0.01**-0.1 * 4.0)
 
 
-def test_shrinking_cutoff_radius_never_grows():
-    cut = ShrinkingCutoff((0.0, 0.0, 0.0), R_prime0=0.4, delta=2.0, c=0.01)
+def test_shrinking_cutoff_radius_never_grows(grid8):
+    # R'(t) starts at R - r/8 and recedes by 1/c times the trapezoid
+    # integral of the sup profile, accumulated one state at a time
+    u = random_divfree(grid8, seed=2, kmax=2)
     t = np.linspace(0.0, 1.0, 50)
-    sup = 0.5 + 0.1 * np.sin(20.0 * t) ** 2
-    radii = cut.radius_path(t, sup, t)
-    assert radii[0] == 0.4
-    assert np.all(np.diff(radii) < 0.0)
+    amp = 0.5 + 0.1 * np.sin(20.0 * t) ** 2
+    fields = [sp.vector_from_coeffs(grid8, a * u.coeffs) for a in amp]
+    rep = enstrophy_localisation(zip(t, fields), ((0.0, 0.0, 0.0), 0.45),
+                                 delta=2.0, c=0.01, r=0.2)
+    sup = [sp.sup_norm(f) for f in fields]
+    assert rep.radius_path[0] == 0.45 - 0.2 / 8.0
+    assert np.all(np.diff(rep.radius_path) < 0.0)
+    assert np.array_equal(rep.radius_path, 0.45 - 0.2 / 8.0
+                          - cumulative_trapezoid(sup, t) / 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +151,13 @@ def test_streamed_and_held_states_reduce_alike(grid16):
     cut = StaticCutoff((0.5, 0.5, 0.5), R=0.3, r=0.1)
     assert energy_budget(march(data, cfg), cut, data) \
         == energy_budget(states(held), cut, data)
+    ball = ((0.5, 0.5, 0.5), 0.4)
+    streamed, kept = (enstrophy_localisation(s, ball, 3.0, 0.01, 0.15)
+                      for s in (march(data, cfg), states(held)))
+    for name in ("times", "W", "radius_path"):
+        assert np.array_equal(getattr(streamed, name), getattr(kept, name))
+    assert (streamed.conclusion_ratio, streamed.tax_violation) \
+        == (kept.conclusion_ratio, kept.tax_violation)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +195,8 @@ def test_enstrophy_report_on_admissible_scenario(grid16):
     traj = evolve(data, SolverConfig(dt=5e-6))
     delta = 3.0
     hyp = enstrophy_hypotheses(((0.5, 0.5, 0.5), 0.4), delta=delta, c=0.01,
-                               r=0.15, data=data, T=traj.T)
-    rep = enstrophy_localisation(traj, ((0.5, 0.5, 0.5), 0.4),
+                               r=0.15, data=data, T=traj.times[-1])
+    rep = enstrophy_localisation(states(traj), ((0.5, 0.5, 0.5), 0.4),
                                  delta=delta, c=0.01, r=0.15)
     assert hyp["eeta"] <= delta
     assert hyp["delta-4"] <= 0.01

@@ -107,6 +107,9 @@ REACHED_ONLY_BY_TESTS = {
                                  "pairing_from_spec against",
     ("packet", "mass_one_bump"): "reference that tests compare "
                                  "pairing_from_spec against",
+    ("solver", "evolve"): "the march's states held as a Trajectory; tests "
+                          "hold solves with it, and bench/tracing.py wraps "
+                          "it by name",
 }
 
 

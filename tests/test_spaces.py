@@ -115,7 +115,7 @@ def test_xs_distance_of_a_constant_difference(grid8):
     d = random_divfree(grid8, seed=60)
     b = Trajectory(a.times, [sp.vector_from_coeffs(grid8, u.coeffs - d.coeffs)
                              for u in a.velocities])
-    expect = sobolev_norm(d, 1.0) + sobolev_norm(d, 2.0) * np.sqrt(a.T)
+    expect = sobolev_norm(d, 1.0) + sobolev_norm(d, 2.0) * np.sqrt(a.times[-1])
     assert np.isclose(xs_distance(a, b), expect, rtol=1e-12)
 
 

@@ -140,7 +140,7 @@ def test_time_translate_shifts_the_clock(grid16):
 def test_time_translate_outside_range_raises(grid16):
     _, traj = small_traj(grid16)
     with pytest.raises(ValueError):
-        state_map(TimeTranslate(traj.T * 3.0), traj.times)
+        state_map(TimeTranslate(traj.times[-1] * 3.0), traj.times)
 
 
 def test_pressure_shift_touches_only_the_mean(grid16):
