@@ -52,18 +52,6 @@ from .symmetry import (
     weak_pairing_decay,
 )
 
-EXPERIMENTS = (
-    "solve",
-    "energy-budget",
-    "total-speed",
-    "enstrophy-loc",
-    "localize",
-    "counterexample",
-    "homogenize",
-    "symmetry-suite",
-)
-
-
 class ConfigError(Exception):
     """Raised for malformed or inconsistent config files."""
 
@@ -99,111 +87,70 @@ def _parse_floats(s):
     return tuple(_parse_float(p) for p in s.split(","))
 
 
-# key -> parser; unknown keys are config errors
-_SCHEMA = {
-    "experiment": str,
-    "grid.L": _parse_float,
-    "grid.N": int,
-    "data.kind": str,
-    "data.seed": int,
-    "data.amplitude": _parse_float,
-    "data.kmin": int,
-    "data.kmax": int,
-    "data.spectral_slope": _parse_float,
-    "data.mean_zero": _parse_bool,
-    "data.packet_n": int,
-    "data.packet_x0": _parse_triple,
-    "data.packet_width": _parse_float,
-    "data.packet_kmax": _parse_float,
-    "forcing.kind": str,
-    "forcing.amplitude": _parse_float,
-    "forcing.samples": int,
-    "forcing.seed": int,
-    "forcing.kmin": int,
-    "forcing.kmax": int,
-    "solver.method": str,
-    "solver.dt": _parse_float,
-    "solver.T": _parse_float,
-    "solver.eps": _parse_float,
-    "solver.store_every": int,
-    "solver.picard_tol": _parse_float,
-    "solver.picard_max_iters": int,
-    "solver.smallness_c": _parse_float,
-    "harness.delta": _parse_float,
-    "harness.c": _parse_float,
-    "harness.R": _parse_float,
-    "harness.r": _parse_float,
-    "harness.x0": _parse_triple,
-    "harness.region": str,
-    "localize.R1": _parse_float,
-    "localize.R2": _parse_float,
-    "localize.R3": _parse_float,
-    "localize.R4": _parse_float,
-    "localize.center": _parse_triple,
-    "localize.l_max": int,
-    "localize.n_r": int,
-    "counterexample.n_list": _parse_ints,
-    "counterexample.xi": _parse_triple,
-    "counterexample.eta": _parse_triple,
-    "counterexample.x0": _parse_triple,
-    "counterexample.component": int,
-    "counterexample.psi_radius": _parse_float,
-    "counterexample.norm_L": _parse_float,
-    "counterexample.norm_N": int,
-    "counterexample.pairing_L": _parse_float,
-    "counterexample.pairing_N": int,
-    "counterexample.doubling_n": int,
-    "homogenize.alpha": _parse_triple,
-    "homogenize.lambdas": _parse_floats,
-    "homogenize.T": _parse_float,
-    "homogenize.expect": str,
-    "tol.residual": _parse_float,
-    "output.dir": str,
-}
-
-# count key -> its least value; forcing.samples counts only where
-# random-band forcing reads it
-_LEAST = {"localize.l_max": 1, "localize.n_r": 2, "forcing.samples": 1}
-
-_DEFAULTS = {
-    "grid.L": 1.0,
-    "grid.N": 32,
-    "data.kind": "shear",
-    "data.seed": 0,
-    "data.amplitude": 1.0,
-    "data.kmin": 1,
-    "data.kmax": 3,
-    "data.spectral_slope": -2.0,
-    "data.mean_zero": True,
-    "data.packet_n": 8,
-    "data.packet_width": 0.1,
-    "data.packet_kmax": 0.0,
-    "forcing.kind": "none",
-    "forcing.amplitude": 0.1,
-    "forcing.samples": 9,
-    "forcing.seed": 1,
-    "forcing.kmin": 1,
-    "forcing.kmax": 2,
-    "solver.method": "evolve",
-    "solver.dt": 1e-3,
-    "solver.T": 0.1,
-    "solver.eps": 0.0,
-    "solver.store_every": 1,
-    "harness.region": "ball",
-    "localize.l_max": 24,
-    "localize.n_r": 288,
-    "counterexample.n_list": (8, 16, 32),
-    "counterexample.component": 0,
-    "counterexample.psi_radius": 0.7,
-    "counterexample.norm_L": 4.5,
-    "counterexample.norm_N": 128,
-    "counterexample.pairing_L": 9.0,
-    "counterexample.pairing_N": 256,
-    "counterexample.doubling_n": 8,
-    "homogenize.lambdas": (1e2, 1e4),
-    "homogenize.T": 1.0,
-    "homogenize.expect": "decay",
-    "tol.residual": 5e-2,
+# key -> (parser, default, accepted values): the least value of a count,
+# "positive" for a float that must exceed 0, the names a choice allows, or
+# None for no check.  Unknown keys are config errors, and a key with no
+# default has none or one its reader gives.
+_KEYS = {
+    "experiment": (str, None, None),
+    "grid.L": (_parse_float, 1.0, None),
+    "grid.N": (int, 32, None),
+    "data.kind": (str, "shear", ("shear", "taylor-green", "random-band",
+                                 "wave-packet", "composite")),
+    "data.seed": (int, 0, None),
+    "data.amplitude": (_parse_float, 1.0, None),
+    "data.kmin": (int, 1, None),
+    "data.kmax": (int, 3, None),
+    "data.spectral_slope": (_parse_float, -2.0, None),
+    "data.mean_zero": (_parse_bool, True, None),
+    "data.packet_n": (int, 8, None),
+    "data.packet_x0": (_parse_triple, None, None),
+    "data.packet_width": (_parse_float, 0.1, None),
+    "data.packet_kmax": (_parse_float, 0.0, None),
+    "forcing.kind": (str, "none", ("none", "random-band")),
+    "forcing.amplitude": (_parse_float, 0.1, None),
+    "forcing.samples": (int, 9, 1),
+    "forcing.seed": (int, 1, None),
+    "forcing.kmin": (int, 1, None),
+    "forcing.kmax": (int, 2, None),
+    "solver.method": (str, "evolve", ("evolve", "picard")),
+    "solver.dt": (_parse_float, 1e-3, None),
+    "solver.T": (_parse_float, 0.1, "positive"),
+    "solver.eps": (_parse_float, 0.0, None),
+    "solver.store_every": (int, 1, None),
+    "solver.picard_tol": (_parse_float, None, None),
+    "solver.picard_max_iters": (int, None, None),
+    "solver.smallness_c": (_parse_float, None, None),
+    "harness.delta": (_parse_float, None, "positive"),
+    "harness.c": (_parse_float, None, "positive"),
+    "harness.R": (_parse_float, None, None),
+    "harness.r": (_parse_float, None, None),
+    "harness.x0": (_parse_triple, None, None),
+    "harness.region": (str, "ball", ENERGY_REGIONS),
+    "localize.R1": (_parse_float, None, None),
+    "localize.R2": (_parse_float, None, None),
+    "localize.R3": (_parse_float, None, None),
+    "localize.R4": (_parse_float, None, None),
+    "localize.center": (_parse_triple, (0.0, 0.0, 0.0), None),
+    "localize.l_max": (int, 24, 1),
+    "localize.n_r": (int, 288, 2),
+    "counterexample.n_list": (_parse_ints, (8, 16, 32), None),
+    "counterexample.xi": (_parse_triple, None, None),
+    "counterexample.eta": (_parse_triple, None, None),
+    "counterexample.x0": (_parse_triple, None, None),
+    "counterexample.component": (int, 0, None),
+    "counterexample.psi_radius": (_parse_float, 0.7, None),
+    "counterexample.norm_L": (_parse_float, 4.5, None),
+    "counterexample.norm_N": (int, 128, None),
+    "counterexample.pairing_L": (_parse_float, 9.0, None),
+    "counterexample.pairing_N": (int, 256, None),
+    "counterexample.doubling_n": (int, 8, None),
+    "homogenize.alpha": (_parse_triple, None, None),
+    "homogenize.lambdas": (_parse_floats, (1e2, 1e4), None),
+    "homogenize.T": (_parse_float, 1.0, "positive"),
+    "homogenize.expect": (str, "decay", ("decay", "no-decay")),
+    "tol.residual": (_parse_float, 5e-2, None),
+    "output.dir": (str, None, None),
 }
 
 
@@ -216,11 +163,10 @@ class ExperimentConfig:
     source: str = ""
 
     def get(self, key, default=None):
-        if key in self.values:
-            return self.values[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
+        """The value the config sets, else the key's default in _KEYS,
+        else the default given here."""
+        value = self.values.get(key, _KEYS[key][1])
+        return default if value is None else value
 
     def require(self, key):
         v = self.get(key)
@@ -255,10 +201,10 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
                     f"{path}:{lineno}: duplicate key {key!r} "
                     f"(first set on line {seen_lines[key]})"
                 )
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _SCHEMA[key](val)
+                values[key] = _KEYS[key][0](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for "
                                   f"{key!r}: {exc}") from None
@@ -278,13 +224,22 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
     return ExperimentConfig(name, values, source=path)
 
 
-def _check_counts(cfg: ExperimentConfig):
-    """A config error for a count below its least value, before any data."""
-    for key, least in _LEAST.items():
-        if cfg.get(key) < least and (key != "forcing.samples" or cfg.get(
-                "forcing.kind") == "random-band"):
-            raise ConfigError(f"{cfg.source}: {key} must be at least {least}, "
-                              f"got {cfg.get(key)}")
+def _check_values(cfg: ExperimentConfig):
+    """A config error for the first set or default value that its row of
+    _KEYS does not accept, found before any data."""
+    for key, (_, _, accepted) in _KEYS.items():
+        value = cfg.get(key)
+        if value is None or accepted is None:
+            continue
+        if accepted == "positive":
+            ok, need = value > 0, "must be positive"
+        elif isinstance(accepted, int):
+            ok, need = value >= accepted, f"must be at least {accepted}"
+        else:
+            ok, need = value in accepted, (
+                f"must be one of {', '.join(accepted)}")
+        if not ok:
+            raise ConfigError(f"{cfg.source}: {key} {need}, got {value!r}")
 
 
 def load_baselines():
@@ -403,13 +358,10 @@ def _grid(cfg: ExperimentConfig, L_key="grid.L", N_key="grid.N"):
 
 
 def generate_data(kind, cfg: ExperimentConfig, grid) -> DataTriple:
-    """Named deterministic initial-data generators; all divergence-free."""
+    """Named deterministic initial-data generators; all divergence-free.
+    kind is one of the data.kind names of _KEYS, which run checks."""
     seed = cfg.get("data.seed")
     amp = cfg.get("data.amplitude")
-    T = cfg.get("solver.T")
-    if T <= 0:
-        raise ConfigError(f"{cfg.source}: horizon T must be positive, got "
-                          f"solver.T = {T}")
     if kind == "shear":
         u0 = _shear_field(grid, amp)
     elif kind == "taylor-green":
@@ -423,7 +375,7 @@ def generate_data(kind, cfg: ExperimentConfig, grid) -> DataTriple:
                         x0=cfg.get("data.packet_x0", (grid.L / 2.0,) * 3))
         # wave_packet checks the resolution before it builds anything
         u0 = _checked(cfg, wave_packet, spec, grid)
-    elif kind == "composite":
+    else:  # composite
         u0 = _random_band_field(
             grid, seed, cfg.get("data.kmin"), cfg.get("data.kmax"),
             cfg.get("data.spectral_slope"), amp, cfg.get("data.mean_zero"))
@@ -432,27 +384,21 @@ def generate_data(kind, cfg: ExperimentConfig, grid) -> DataTriple:
             cfg.get("data.packet_width"), cfg.get("data.packet_n"),
             amp, cfg.get("data.packet_kmax"))
         u0 = sp.vector_from_coeffs(grid, u0.coeffs + pkt.coeffs)
-    else:
-        raise ConfigError(f"unknown data kind {kind!r}")
     # band-limit to the solver's dealiased range so that the discrete
     # energy identity is exact for the Galerkin truncation being evolved
     u0 = sp.dealias(u0)
 
     f = []
-    fk = cfg.get("forcing.kind")
-    if fk == "random-band":
-        n_s = cfg.get("forcing.samples")
+    if cfg.get("forcing.kind") == "random-band":
         f = [
             _random_band_field(
                 grid, cfg.get("forcing.seed") + 1000 * i,
                 cfg.get("forcing.kmin"), cfg.get("forcing.kmax"),
                 cfg.get("data.spectral_slope"), cfg.get("forcing.amplitude"),
                 True)
-            for i in range(n_s)
+            for i in range(cfg.get("forcing.samples"))
         ]
-    elif fk != "none":
-        raise ConfigError(f"unknown forcing kind {fk!r}")
-    return DataTriple(u0, f, T)
+    return DataTriple(u0, f, cfg.get("solver.T"))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +490,7 @@ def _write_verdicts(art, verdicts):
 
 def _solver(cfg: ExperimentConfig):
     """(SolverConfig, method) of a config, checked, so that a bad parameter
-    or method is a config error before any data is generated."""
+    is a config error before any data is generated."""
     scfg = _checked(
         cfg, SolverConfig,
         dt=cfg.get("solver.dt"),
@@ -554,10 +500,7 @@ def _solver(cfg: ExperimentConfig):
            for k in ("picard_tol", "picard_max_iters", "smallness_c")
            if "solver." + k in cfg.values},
     )
-    method = cfg.get("solver.method")
-    if method not in ("evolve", "picard"):
-        raise ConfigError(f"unknown solver method {method!r}")
-    return scfg, method
+    return scfg, cfg.get("solver.method")
 
 
 def _solve_states(cfg: ExperimentConfig, grid):
@@ -613,9 +556,6 @@ def _exp_energy_budget(cfg, art, baselines):
     if "harness.R" in cfg.values:
         cut = _checked(cfg, StaticCutoff, cfg.require("harness.x0"),
                        cfg.require("harness.R"), cfg.require("harness.r"))
-        if region not in ENERGY_REGIONS:
-            raise ConfigError(f"{cfg.source}: unknown harness.region {region!r}"
-                              f"; choose from {', '.join(ENERGY_REGIONS)}")
     data, _, states = _solve_states(cfg, grid)
     # one pass over the states: each state's row is recorded as it passes
     # on to the local budget
@@ -658,11 +598,8 @@ def _exp_total_speed(cfg, art, baselines):
 def _exp_enstrophy(cfg, art, baselines):
     grid = _grid(cfg)
     ball = (cfg.require("harness.x0"), cfg.require("harness.R"))
-    delta, c, r = (cfg.require("harness." + k) for k in ("delta", "c", "r"))
-    for key, value in (("harness.delta", delta), ("harness.c", c)):
-        if value <= 0:
-            raise ConfigError(f"{cfg.source}: {key} must be positive, got "
-                              f"{value}")
+    delta, c, r = (cfg.require("harness.delta"), cfg.require("harness.c"),
+                   cfg.require("harness.r"))
     data, scfg, states = _solve_states(cfg, grid)
     # the hypotheses need the data and the horizon only, so they are
     # checked before the first state is drawn, over the last stored time
@@ -693,7 +630,7 @@ def _exp_localize(cfg, art, baselines):
     spec = _checked(cfg, AnnulusSpec, cfg.require("localize.R1"),
                     cfg.require("localize.R2"), cfg.require("localize.R3"),
                     cfg.require("localize.R4"),
-                    cfg.get("localize.center", (0.0, 0.0, 0.0)))
+                    cfg.get("localize.center"))
     data = generate_data(cfg.get("data.kind"), cfg, grid)
     sampler = spectral_sampler(data.u0)
     try:
@@ -782,16 +719,11 @@ def _exp_homogenize(cfg, art, baselines):
                                cfg.get("homogenize.T"))
     table.to_csv(art.path("decay.csv"))
     lo, hi = float(table.values[0]), float(table.values[-1])
-    expect = cfg.get("homogenize.expect")
-    if expect == "decay":
-        passed = hi <= lo / 3.0
-        return [Verdict("pairing-decay", passed, hi, lo / 3.0,
+    if cfg.get("homogenize.expect") == "decay":
+        return [Verdict("pairing-decay", hi <= lo / 3.0, hi, lo / 3.0,
                         note=f"min_phase={table.min_phase:.3e}")]
-    if expect == "no-decay":
-        passed = hi > lo / 3.0
-        return [Verdict("pairing-no-decay", passed, hi, lo / 3.0,
-                        note="rational direction control")]
-    raise ConfigError(f"unknown homogenize.expect {expect!r}")
+    return [Verdict("pairing-no-decay", hi > lo / 3.0, hi, lo / 3.0,
+                    note="rational direction control")]
 
 
 def _exp_symmetry(cfg, art, baselines):
@@ -878,6 +810,8 @@ _DISPATCH = {
     "symmetry-suite": _exp_symmetry,
 }
 
+EXPERIMENTS = tuple(_DISPATCH)
+
 
 def run(cfg: ExperimentConfig, outdir=None) -> tuple:
     """Execute one experiment; returns (manifest, exit_code).
@@ -889,7 +823,7 @@ def run(cfg: ExperimentConfig, outdir=None) -> tuple:
     t0 = time.time()
     verdicts, error, code = [], "", 0
     try:
-        _check_counts(cfg)
+        _check_values(cfg)
         verdicts = _DISPATCH[cfg.experiment](cfg, art, load_baselines())
         if not all(v.passed for v in verdicts):
             code = 1

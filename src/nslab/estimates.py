@@ -129,16 +129,6 @@ def _grad_samples_sq(u: VectorField):
     return out
 
 
-def _f_l1_l2(data: DataTriple, mask) -> float:
-    if not data.f:
-        return 0.0
-    times = data.f_times()
-    if len(times) < 2:
-        return 0.0
-    prof = np.array([_masked_l2(fk, mask) for fk in data.f])
-    return float(np.trapezoid(prof, times))
-
-
 def _data_energy(data: DataTriple) -> float:
     """E of the data with the forcing Leray-projected."""
     return energy(DataTriple(data.u0, [sp.leray_project(fk) for fk in data.f],
@@ -197,7 +187,8 @@ def energy_budget(states, cutoff: StaticCutoff, data: DataTriple,
     lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, times)))
     # summed from 0 in this order (data, forcing, the two leakage terms),
     # the order the local ratio's recorded bits come from
-    rhs = sum((_masked_l2(data.u0, outer), _f_l1_l2(data, outer),
+    rhs = sum((_masked_l2(data.u0, outer),
+               data.f_integral(lambda fk: _masked_l2(fk, outer)),
                np.sqrt(E * T) / cutoff.r, np.sqrt(E**3 * T) / cutoff.r**2))
     return float(lhs / rhs) if rhs > 0 else 0.0
 
@@ -258,13 +249,7 @@ def enstrophy_hypotheses(ball, delta: float, c: float, r: float,
     omega0 = sp.curl(data.u0)
     ball_mask = periodic_distance(grid, x0) <= R
     hyp = _masked_l2(omega0, ball_mask)
-    if data.f:
-        times = data.f_times()
-        if len(times) >= 2:
-            prof = np.array(
-                [_masked_l2(sp.curl(fk), ball_mask) for fk in data.f]
-            )
-            hyp += float(np.trapezoid(prof, times))
+    hyp += data.f_integral(lambda fk: _masked_l2(sp.curl(fk), ball_mask))
     measured["eeta"] = hyp
     if hyp > delta * (1 + 1e-12):
         raise HypothesisError(

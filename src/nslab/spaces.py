@@ -62,12 +62,16 @@ class DataTriple:
         return self.u0.grid.L
 
     def f_times(self):
-        n = len(self.f)
-        if n == 0:
-            return np.zeros(0)
-        if n == 1:
-            return np.array([0.0])
-        return np.linspace(0.0, self.T, n)
+        return np.linspace(0.0, self.T, len(self.f))
+
+    def f_integral(self, norm) -> float:
+        """The integral over [0, T] of norm(f(t)): the trapezoid rule over
+        the sample times, and T norm(f[0]) for one sample, which f_at
+        applies over all of [0, T]."""
+        if len(self.f) == 1:
+            return float(self.T * norm(self.f[0]))
+        prof = np.array([norm(fk) for fk in self.f])
+        return float(np.trapezoid(prof, self.f_times()))
 
     def f_at(self, t: float) -> VectorField:
         """Forcing at time t by linear interpolation of the samples."""
@@ -177,25 +181,14 @@ def xs_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 def energy(data: DataTriple) -> float:
     """Total energy E(u0, f, T) = (1/2)(||u0||_L2 + ||f||_{L1_t L2_x})^2."""
-    u0_part = sp.l2_norm(data.u0)
-    times = data.f_times()
-    if len(times) < 2:
-        f_part = 0.0
-    else:
-        prof = np.array([sp.l2_norm(fk) for fk in data.f])
-        f_part = float(np.trapezoid(prof, times))
-    return 0.5 * (u0_part + f_part) ** 2
+    return 0.5 * (sp.l2_norm(data.u0) + data.f_integral(sp.l2_norm)) ** 2
 
 
 def h1_data_norm(data: DataTriple) -> float:
     """H^1 size of the data: ||u0||_H1 plus the L^1_t H^1 norm of the
     forcing."""
-    u0_part = sobolev_norm(data.u0, 1.0)
-    times = data.f_times()
-    if len(times) < 2:
-        return u0_part
-    prof = np.array([sobolev_norm(fk, 1.0) for fk in data.f])
-    return u0_part + float(np.trapezoid(prof, times))
+    return sobolev_norm(data.u0, 1.0) + data.f_integral(
+        lambda fk: sobolev_norm(fk, 1.0))
 
 
 def _widths(t, ndim):

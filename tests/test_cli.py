@@ -72,7 +72,7 @@ def test_parse_rejects_bad_values(tmp_path):
 
 
 NUMBER_KEYS = sorted(
-    key for key, parser in cli._SCHEMA.items()
+    key for key, (parser, _, _) in cli._KEYS.items()
     if parser in (cli._parse_float, cli._parse_triple, cli._parse_floats))
 
 
@@ -84,7 +84,7 @@ def test_non_finite_numbers_exit_two_before_the_data(tmp_path, monkeypatch,
              if ln.split("=")[0].strip() != key]
     for bad in ("nan", "inf", "-inf"):
         value = {cli._parse_triple: f"0.5,{bad},0.5",
-                 cli._parse_floats: f"1.0,{bad}"}.get(cli._SCHEMA[key], bad)
+                 cli._parse_floats: f"1.0,{bad}"}.get(cli._KEYS[key][0], bad)
         path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]))
         out = tmp_path / f"out{bad}"
         assert main(["solve", "--config", path, "--out", str(out)]) == 2
@@ -138,19 +138,6 @@ def test_generate_data_kinds_are_divergence_free(tmp_path, grid16):
         assert sp.l2_norm(sp.divergence(u)) < 1e-10 * max(sp.l2_norm(u), 1e-30)
         # generated data never exceeds the solver's dealiased band
         assert np.max(np.abs(u.coeffs - sp.dealias(u).coeffs)) == 0.0
-
-
-def test_generate_data_rejects_unknown_kinds(tmp_path, grid16):
-    cfg = parse_config(write_cfg(tmp_path, SOLVE_CFG))
-    with pytest.raises(ConfigError, match="unknown data kind"):
-        generate_data("vortex-soup", cfg, grid16)
-
-
-def test_generate_data_rejects_unknown_forcing(tmp_path, grid16):
-    cfg = parse_config(write_cfg(tmp_path,
-                                 SOLVE_CFG + "forcing.kind = gusts\n"))
-    with pytest.raises(ConfigError, match="unknown forcing kind"):
-        generate_data("shear", cfg, grid16)
 
 
 def test_generate_data_forcing_sample_count(tmp_path, grid16):
@@ -323,7 +310,8 @@ def test_config_error_exits_two_and_writes_the_manifest(tmp_path):
     out = tmp_path / "out"
     manifest, code = run(cfg, outdir=str(out))
     assert code == 2
-    assert "unknown solver method" in manifest.error
+    assert "solver.method must be one of evolve, picard, got 'shoot'" \
+        in manifest.error
     payload = json.loads((out / "manifest.json").read_text())
     assert "error" in payload
 
@@ -371,7 +359,7 @@ def test_nonpositive_horizon_exits_two(tmp_path):
                                                    "solver.T = -1")))
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 2
-    assert "horizon T must be positive" in manifest.error
+    assert "solver.T must be positive, got -1.0" in manifest.error
 
 
 def test_bad_solver_step_exits_two(tmp_path):
@@ -431,7 +419,8 @@ def test_unknown_region_exits_two_before_the_data(tmp_path, monkeypatch):
     cfg = parse_config(write_cfg(tmp_path, text))
     manifest, code = run(cfg, outdir=str(tmp_path / "out"))
     assert code == 2
-    assert "unknown harness.region 'sideways'" in manifest.error
+    assert ("harness.region must be one of ball, exterior, got 'sideways'"
+            in manifest.error)
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -506,6 +495,69 @@ def test_counts_below_their_least_value_exit_two_before_the_data(
                          outdir=str(tmp_path / "out"))
     assert code == 2
     assert f"{key} must be at least" in manifest.error
+
+
+def _outside(accepted):
+    """Values just outside what a row of cli._KEYS accepts."""
+    if accepted == "positive":
+        return ["0", "-1"]
+    if isinstance(accepted, int):
+        return [str(accepted - 1)]
+    return ["vortex-soup"]
+
+
+OUTSIDE = [(key, bad) for key, (_, _, accepted) in sorted(cli._KEYS.items())
+           if accepted is not None for bad in _outside(accepted)]
+
+
+@pytest.mark.parametrize("key, bad", OUTSIDE,
+                         ids=[f"{key}={bad}" for key, bad in OUTSIDE])
+def test_values_outside_their_row_exit_two_before_the_data(
+        tmp_path, monkeypatch, key, bad):
+    # every checked key of the table, whichever experiment reads it, is
+    # rejected at the start of the run, before any data or study
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    monkeypatch.setattr(cli, "weak_pairing_decay", _must_not_run)
+    lines = [ln for ln in SOLVE_CFG.splitlines()
+             if ln.split("=")[0].strip() != key]
+    out = tmp_path / "out"
+    manifest, code = run(parse_config(write_cfg(
+        tmp_path, "\n".join(lines + [f"{key} = {bad}"]))), outdir=str(out))
+    assert code == 2
+    assert json.loads((out / "manifest.json").read_text())["error"] \
+        == manifest.error
+    assert f"{key} must be" in manifest.error
+
+
+HOMOGENIZE_CFG = ("experiment = homogenize\ngrid.N = 16\n"
+                  "homogenize.alpha = 1.0,1.4142135623730951,0.0\n")
+
+
+@pytest.mark.parametrize("text", [
+    HOMOGENIZE_CFG + "homogenize.expect = both\n",
+    HOMOGENIZE_CFG + "homogenize.T = 0\n",
+    SOLVE_CFG + "forcing.kind = none\nforcing.samples = 0\n",
+], ids=["expect", "zero-T", "unforced-samples"])
+def test_values_once_let_through_exit_two_before_the_study(
+        tmp_path, monkeypatch, text):
+    # an unknown expectation used to exit 2 only after decay.csv was
+    # written, T = 0 passed pairing-decay with value 0, and no sample of
+    # an unforced run was a count to check
+    monkeypatch.setattr(cli, "generate_data", _must_not_run)
+    monkeypatch.setattr(cli, "weak_pairing_decay", _must_not_run)
+    out = tmp_path / "out"
+    manifest, code = run(parse_config(write_cfg(tmp_path, text)),
+                         outdir=str(out))
+    assert code == 2
+    assert sorted(os.listdir(out)) == ["manifest.json", "verdict.txt"]
+
+
+def test_defaults_and_shipped_configs_pass_the_table():
+    cli._check_values(cli.ExperimentConfig("solve", source="defaults"))
+    configs = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs")
+    for name in sorted(os.listdir(configs)):
+        cli._check_values(parse_config(os.path.join(configs, name)))
 
 
 ENSTROPHY_CFG = ("experiment = enstrophy-loc\ngrid.N = 16\n"

@@ -2,7 +2,8 @@
 a module lists in ``__all__`` exists, every name it imports is used, every
 function and class is reached from the command line and every member of a
 reached class is read, the command line loads no package it does not
-need, and the number of settable values does not grow."""
+need, every config key it reads is in its key table, and the number of
+settable values does not grow."""
 
 import ast
 import os
@@ -262,6 +263,49 @@ def test_every_member_of_a_reached_class_is_read():
     stale = sorted(f"{m}.{n}.{a}" for m, n, a in UNREAD_MEMBERS
                    if a in read)
     assert not stale, f"allow-list entries now read: {stale}"
+
+
+def _is_cfg(node, attr=None):
+    """Whether node is the name cfg, or with attr its attribute attr."""
+    if attr is not None:
+        return isinstance(node, ast.Attribute) and node.attr == attr \
+            and _is_cfg(node.value)
+    return isinstance(node, ast.Name) and node.id == "cfg"
+
+
+def _config_keys_read(tree):
+    """(line, key) of each string literal read as a config key: the key of
+    cfg.get, cfg.require, cfg.values[...] and ``in cfg.values``, and the
+    string arguments of a call that passes cfg first, such as _grid."""
+    out = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("get", "require")
+                and _is_cfg(n.func.value)):
+            keys = n.args[:1]
+        elif isinstance(n, ast.Call) and n.args and _is_cfg(n.args[0]):
+            keys = n.args[1:]
+        elif isinstance(n, ast.Subscript) and _is_cfg(n.value, "values"):
+            keys = [n.slice]
+        elif isinstance(n, ast.Compare) and any(
+                _is_cfg(c, "values") for c in n.comparators):
+            keys = [n.left]
+        else:
+            continue
+        out += [(k.lineno, k.value) for k in keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)]
+    return out
+
+
+def test_every_config_key_the_runner_reads_is_in_the_table():
+    # a misspelt key in a rarely run branch would read as unset, or fail
+    # only when a config reaches that branch
+    from nslab import cli
+    keys = _config_keys_read(_tree(SRC / "cli.py"))
+    assert len(keys) > 50
+    unknown = [f"line {line}: {key!r}" for line, key in keys
+               if key not in cli._KEYS]
+    assert not unknown, f"keys read but not in cli._KEYS: {unknown}"
 
 
 # Defaulted function parameters plus defaulted dataclass fields in the
