@@ -105,7 +105,7 @@ _KEYS = {
     "data.mean_zero": (_parse_bool, True, None),
     "data.packet_n": (int, 8, None),
     "data.packet_x0": (_parse_triple, None, None),
-    "data.packet_width": (_parse_float, 0.1, None),
+    "data.packet_width": (_parse_float, 0.1, "positive"),
     "data.packet_kmax": (_parse_float, 0.0, None),
     "forcing.kind": (str, "none", ("none", "random-band")),
     "forcing.amplitude": (_parse_float, 0.1, None),

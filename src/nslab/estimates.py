@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
+from .solver import ahead
 from .spaces import DataTriple, DiagnosticsTable, cumulative_simpson, energy
 from .spectral import VectorField
 
@@ -163,7 +164,8 @@ def energy_budget(states, cutoff: StaticCutoff, data: DataTriple,
     with the r-dependent leakage terms.
 
     states is an iterable of (t, u), such as solver.march; each state is
-    reduced as it arrives and none is held.
+    reduced on solver.ahead's worker thread as the next one is drawn, and
+    at most two are held.
     """
     if region not in ENERGY_REGIONS:
         raise ValueError(f"unknown region {region!r}")
@@ -177,11 +179,15 @@ def energy_budget(states, cutoff: StaticCutoff, data: DataTriple,
         inner = d_grid >= cutoff.R + cutoff.r
         outer = d_grid >= cutoff.R
 
+    def reduce(u):
+        return (_masked_l2(u, inner),
+                np.sum(_grad_samples_sq(u) * inner) * grid.cell_volume)
+
     times, inner_l2, grad_prof = [], [], []
-    for t, u in states:
+    for t, _, (l2, grad) in ahead(reduce, states):
         times.append(t)
-        inner_l2.append(_masked_l2(u, inner))
-        grad_prof.append(np.sum(_grad_samples_sq(u) * inner) * grid.cell_volume)
+        inner_l2.append(l2)
+        grad_prof.append(grad)
     times = np.array(times)
     T = times[-1] - times[0]
     lhs = max(inner_l2) + float(np.sqrt(np.trapezoid(grad_prof, times)))
@@ -197,9 +203,10 @@ def total_speed(states, data: DataTriple):
     """Accumulated sup-norm and its ratio to E^{1/2} T^{1/4} + E.
 
     states is an iterable of (t, u), such as solver.march; the oversampled
-    sup norm of each state is taken as it arrives and integrated over the
-    stored times.  Requires T <= L^2 (the regime where the bound is
-    meaningful), checked before the first state is drawn.
+    sup norm of each state is taken on solver.ahead's worker thread as the
+    next state is drawn, and integrated over the stored times.  Requires
+    T <= L^2 (the regime where the bound is meaningful), checked before
+    the first state is drawn.
     """
     grid = data.grid
     if data.T > grid.L**2 * (1.0 + 1e-12):
@@ -208,9 +215,9 @@ def total_speed(states, data: DataTriple):
             f"L^2={grid.L ** 2}"
         )
     times, prof = [], []
-    for t, u in states:
+    for t, _, sup in ahead(sp.sup_norm, states):
         times.append(t)
-        prof.append(sp.sup_norm(u))
+        prof.append(sup)
     times = np.array(times)
     T = times[-1] - times[0]
     value = float(np.trapezoid(np.array(prof), times))
@@ -276,15 +283,15 @@ def enstrophy_localisation(states, ball, delta: float, c: float,
     Tracks the localised enstrophy W(t), checks the recession inequality
     for the cutoff, and measures the conclusion in units of delta.  states
     is an iterable of (t, u), such as solver.march; each state is reduced
-    as it arrives and none is held.  The caller checks the hypotheses
-    first, with enstrophy_hypotheses.
+    as it arrives, with its sup norm taken on solver.ahead's worker thread
+    as the next one is drawn, and at most two are held.  The caller checks
+    the hypotheses first, with enstrophy_hypotheses.
     """
     x0, R = ball
     cutoff = ShrinkingCutoff(tuple(x0), R - r / 8.0, delta, c)
     times, W, radii, grad_prof = [], [], [], []
     inner_max = tax_violation = 0.0
-    for t, u in states:
-        sup = sp.sup_norm(u)
+    for t, u, sup in ahead(sp.sup_norm, states):
         if not times:
             grid = u.grid
             d_grid = periodic_distance(grid, x0)

@@ -14,6 +14,7 @@ time-stepped solution.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "picard_solve",
     "evolve",
     "march",
+    "ahead",
     "stored_times",
     "recording_rows",
     "diagnostics_table",
@@ -241,6 +243,28 @@ def march(data: DataTriple, cfg: SolverConfig):
     for n, t, u in _sweep(data, cfg, None):
         if n in keep:
             yield t, u
+
+
+def ahead(fn, states):
+    """Yields (t, u, fn(u)) for each (t, u) of states, in their order.
+
+    fn runs on one worker thread: while it reduces one state, the calling
+    thread draws the next, which marches the next steps (the transforms
+    and numpy's large kernels release the interpreter lock).  At most two
+    states are in flight; the worker is joined when the stream ends, when
+    the reader stops early and when either side raises, whose exception
+    reaches the reader.  fn should return numbers, not sample arrays, so
+    that the two states in flight are all it holds.
+    """
+    with ThreadPoolExecutor(1) as pool:
+        flight = []
+        for t, u in states:
+            flight.append((t, u, pool.submit(fn, u)))
+            if len(flight) == 2:
+                t, u, reduced = flight.pop(0)
+                yield t, u, reduced.result()
+        for t, u, reduced in flight:
+            yield t, u, reduced.result()
 
 
 def stored_times(data: DataTriple, cfg: SolverConfig) -> np.ndarray:

@@ -160,6 +160,20 @@ def test_streamed_and_held_states_reduce_alike(grid16):
         == (kept.conclusion_ratio, kept.tax_violation)
 
 
+def test_total_speed_integrates_the_sup_norms_in_state_order(grid16):
+    # the sup norms come back from a worker thread; integrated in the
+    # order of the states, they give the bits of a plain loop
+    data = DataTriple(random_divfree(grid16, seed=9, kmax=3), [], 0.002)
+    cfg = SolverConfig(dt=1e-4)
+    times, prof = [], []
+    for t, u in march(data, cfg):
+        times.append(t)
+        prof.append(sp.sup_norm(u))
+    assert len(times) == 21
+    value, _ = total_speed(march(data, cfg), data)
+    assert value == float(np.trapezoid(np.array(prof), np.array(times)))
+
+
 # ---------------------------------------------------------------------------
 # enstrophy localisation harness
 

@@ -1,13 +1,18 @@
 """Time stepping: the bilinear form, exact closed-form flows, the
 fixed-point iteration, and the equation residual."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from nslab import cli
 from nslab import spectral as sp
 from nslab.solver import (
     SolverConfig,
+    ahead,
     bilinear_B,
     evolve,
     march,
@@ -452,3 +457,81 @@ def test_residual_reads_the_hyperdissipation_coefficient(grid16):
         images(Scale(2.0), pressured(states(traj), data), traj.times),
         apply(Scale(2.0), data), 4.0 * eps)
     assert np.allclose(scaled, 2.0**-1.5 * base, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# reductions on a worker thread
+
+
+def _numbered(n):
+    return ((0.1 * j, j) for j in range(n))
+
+
+def test_ahead_yields_the_results_in_state_order():
+    # the early states take longest, so a reader fed in order of completion
+    # would see the later ones first
+    pause = [0.03, 0.0, 0.02, 0.0, 0.01, 0.0]
+
+    def fn(j):
+        time.sleep(pause[j])
+        return 10 * j
+
+    assert list(ahead(fn, _numbered(6))) \
+        == [(0.1 * j, j, 10 * j) for j in range(6)]
+
+
+def test_ahead_draws_at_most_two_states_before_the_reader_takes_them():
+    taken, in_flight = [], []
+
+    def stream():
+        for t, j in _numbered(8):
+            # drawn and not yet taken, this state included
+            in_flight.append(j + 1 - len(taken))
+            yield t, j
+
+    for state in ahead(abs, stream()):
+        taken.append(state)
+    assert len(taken) == 8
+    assert max(in_flight) == 2
+
+
+def test_ahead_passes_on_an_exception_from_either_side():
+    def fn(j):
+        if j == 3:
+            raise ZeroDivisionError("in the reduction")
+        return j
+
+    with pytest.raises(ZeroDivisionError, match="in the reduction"):
+        list(ahead(fn, _numbered(6)))
+
+    def stream():
+        yield from _numbered(2)
+        raise FloatingPointError("non-finite velocity at step 2")
+
+    with pytest.raises(FloatingPointError, match="at step 2"):
+        list(ahead(abs, stream()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ahead_joins_its_worker_however_the_stream_ends(tmp_path):
+    start = threading.active_count()
+    assert list(ahead(abs, _numbered(4)))[-1][2] == 3
+    assert threading.active_count() == start
+    early = ahead(abs, _numbered(4))
+    assert next(early)[2] == 0
+    assert threading.active_count() == start + 1
+    early.close()
+    assert threading.active_count() == start
+    # a march that goes non-finite at its first step aborts the run while
+    # the worker takes the data's sup norm
+    path = tmp_path / "run.cfg"
+    path.write_text("experiment = total-speed\ngrid.N = 8\n"
+                    "data.kind = random-band\ndata.amplitude = 1e150\n"
+                    "solver.dt = 1e-3\nsolver.T = 0.01\n")
+    manifest, code = cli.run(cli.parse_config(str(path)),
+                             outdir=str(tmp_path / "out"))
+    assert code == 3
+    assert manifest.error == \
+        "numerical abort: non-finite velocity at step 1"
+    assert (tmp_path / "out" / "manifest.json").exists()
+    assert threading.active_count() == start
