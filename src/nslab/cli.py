@@ -43,11 +43,9 @@ from .spaces import DataTriple, sobolev_norm
 from .symmetry import (
     Forcing,
     Galilean,
-    PressureShift,
     Scale,
     SpaceTranslate,
     TimeTranslate,
-    apply,
     state_map,
     weak_pairing_decay,
 )
@@ -103,7 +101,7 @@ _KEYS = {
     "data.kmax": (int, 3, None),
     "data.spectral_slope": (_parse_float, -2.0, None),
     "data.mean_zero": (_parse_bool, True, None),
-    "data.packet_n": (int, 8, None),
+    "data.packet_n": (int, 8, 1),
     "data.packet_x0": (_parse_triple, None, None),
     "data.packet_width": (_parse_float, 0.1, "positive"),
     "data.packet_kmax": (_parse_float, 0.0, None),
@@ -538,8 +536,7 @@ def _exp_solve(cfg, art, baselines):
             last = t, u
             yield t, u
 
-    res = residual(pressured(passing(states), data), data,
-                   cfg.get("solver.eps"))
+    res = residual(pressured(passing(states), data), cfg.get("solver.eps"))
     tol = cfg.get("tol.residual")
     diagnostics_table(rows).to_csv(art.path("diagnostics.csv"), np.array(sup),
                                    residual=res)
@@ -704,6 +701,12 @@ def _exp_counterexample(cfg, art, baselines):
 
 
 def _exp_homogenize(cfg, art, baselines):
+    # both verdicts compare the last lambda's pairing with the first's; one
+    # lambda would pass pairing-no-decay by construction
+    lambdas = cfg.get("homogenize.lambdas")
+    if len(lambdas) < 2 or min(lambdas) <= 0 or min(np.diff(lambdas)) <= 0:
+        raise ConfigError(f"{cfg.source}: homogenize.lambdas must be two or "
+                          f"more increasing positive values, got {lambdas!r}")
     grid = _grid(cfg)
     f = [_random_band_field(grid, cfg.get("forcing.seed"),
                             cfg.get("forcing.kmin"), cfg.get("forcing.kmax"),
@@ -714,7 +717,6 @@ def _exp_homogenize(cfg, art, baselines):
                               cfg.get("data.spectral_slope"),
                               cfg.get("data.amplitude"), True)]
     alpha = cfg.require("homogenize.alpha")
-    lambdas = cfg.get("homogenize.lambdas")
     table = weak_pairing_decay(f, phi, alpha, lambdas,
                                cfg.get("homogenize.T"))
     table.to_csv(art.path("decay.csv"))
@@ -734,16 +736,18 @@ def _exp_symmetry(cfg, art, baselines):
     # image of every state under every transform
     times = stored_times(data, scfg)
     L = grid.L
-    shifted = TimeTranslate(float(times[len(times) // 2]))
     vtimes = np.linspace(0.0, data.T, 5)
     vconst = np.tile(np.array([0.04, -0.015, 0.025]), (5, 1))
     q = sp.scalar_from_samples(grid, np.cos(
         2.0 * np.pi * grid.nodes()[0] / L))
+    # the pressure gauge p -> p + C is the forcing gauge of the constant C
+    c = np.zeros(grid.spectral_shape, dtype=complex)
+    c[0, 0, 0] = 1.234
     transforms = [
         ("space-translate", SpaceTranslate((0.3 * L, 0.1 * L, 0.7 * L))),
-        ("time-translate", shifted),
+        ("time-translate", TimeTranslate(float(times[len(times) // 2]))),
         ("scale", Scale(2.0)),
-        ("pressure-shift", PressureShift(1.234)),
+        ("pressure-shift", Forcing([sp.scalar_from_coeffs(grid, c)])),
         ("galilean", Galilean(vconst.copy())),
         ("galilean-time", Galilean(
             np.outer(vtimes, np.array([0.05, 0.0, -0.03])),
@@ -751,22 +755,17 @@ def _exp_symmetry(cfg, art, baselines):
         ("forcing-gauge", Forcing([q])),
     ]
     images = {name: state_map(tr, times) for name, tr in transforms}
-    base = MomentumResidual(data, eps)
-    # the residual of each image on the transformed data; a rescaling by
-    # lam stretches time by lam^2, and the equation keeps its form only
-    # with eps scaled by lam^2 as well.  The time translate's data is the
-    # first state of its image, so its residual starts when that arrives.
+    base = MomentumResidual(eps)
+    # the residual of each image stream, whose states carry their forcing;
+    # a rescaling by lam stretches time by lam^2, and the equation keeps
+    # its form only with eps scaled by lam^2 as well
     reductions = {
-        name: MomentumResidual(apply(tr, data), eps * tr.lam**2
-                               if isinstance(tr, Scale) else eps)
-        for name, tr in transforms if tr is not shifted}
+        name: MomentumResidual(eps * tr.lam**2 if isinstance(tr, Scale)
+                               else eps)
+        for name, tr in transforms}
     for j, state in enumerate(pressured(states, data)):
         base.push(state)
         moved = {name: image(j, *state) for name, image in images.items()}
-        if "time-translate" not in reductions and moved["time-translate"]:
-            reductions["time-translate"] = MomentumResidual(DataTriple(
-                moved["time-translate"][1], [],
-                max(data.T - shifted.t0, cfg.get("solver.dt"))), eps)
         for name, image in moved.items():
             if image is not None:
                 reductions[name].push(image)

@@ -289,12 +289,13 @@ def recording_rows(states, data: DataTriple, rows: list):
 
 
 def pressured(states, data: DataTriple):
-    """Passes each (t, u) of states on as the state (t, u, p, None) that
-    residual reads, with p the normalised pressure of u under the forcing
-    of data at t, made as the state arrives, and no linear pressure
-    part."""
+    """Passes each (t, u) of states on as the state (t, u, p, None, f) that
+    residual reads: f is the forcing of data at t (None when data is
+    unforced), p the normalised pressure of u under f, made as the state
+    arrives, and there is no linear pressure part."""
     for t, u in states:
-        yield t, u, normalised_pressure(u, _f_sample(data, t)), None
+        f = _f_sample(data, t)
+        yield t, u, normalised_pressure(u, f), None, f
 
 
 def _stiff_symbol(grid, eps):
@@ -377,26 +378,22 @@ def picard_solve(data: DataTriple, cfg: SolverConfig) -> Trajectory:
 
 class MomentumResidual:
     """The reduction of residual, fed one state at a time, so that one
-    march can feed several streams: push each state (t, u, p, a) of a
+    march can feed several streams: push each state (t, u, p, a, f) of a
     stream in order, then read result().  It keeps the last three states;
     each push from the third on adds the defect at the middle one."""
 
-    def __init__(self, data: DataTriple, eps: float):
-        self.data = data
+    def __init__(self, eps: float):
         self.eps = eps
-        self.t_first = None
         self.window = []
         self.defects = []
 
     def push(self, state):
-        if self.t_first is None:
-            self.t_first = state[0]
         self.window = self.window[-2:] + [state]
         if len(self.window) == 3:
             self.defects.append(self._defect())
 
     def _defect(self):
-        (t_prev, u_prev, _, _), (t, u, p, a), (t_next, u_next, _, _) = \
+        (t_prev, u_prev, *_), (t, u, p, a, f), (t_next, u_next, *_) = \
             self.window
         grid = u.grid
         dtc = t_next - t_prev
@@ -409,8 +406,8 @@ class MomentumResidual:
         if self.eps:
             defect += self.eps * sp.laplacian(sp.laplacian(u)).coeffs
         defect += sp.gradient(p).coeffs
-        if self.data.f:
-            defect -= sp.dealias(self.data.f_at(t - self.t_first)).coeffs
+        if f is not None:
+            defect -= sp.dealias(f).coeffs
         res_field = VectorField(grid, defect)
         val_sq = sp.l2_norm(res_field) ** 2
         if a is not None:
@@ -429,14 +426,14 @@ class MomentumResidual:
         return np.array(self.defects)
 
 
-def residual(states, data: DataTriple, eps: float) -> np.ndarray:
+def residual(states, eps: float) -> np.ndarray:
     """L^2 defect of the momentum equation at the interior states of a
-    stream of (t, u, p, a), such as pressured(march(...)): a velocity, its
-    pressure, and the vector a(t) of a linear pressure part x . a(t), or
-    None.  It uses central differences in time, the hyperdissipation
-    coefficient eps and the forcing of data at t minus the first state's
-    time.  Each state is reduced as it arrives; three are held."""
-    reduction = MomentumResidual(data, eps)
+    stream of (t, u, p, a, f), such as pressured(march(...)): a velocity,
+    its pressure, the vector a(t) of a linear pressure part x . a(t) or
+    None, and the forcing at t or None.  It uses central differences in
+    time and the hyperdissipation coefficient eps.  Each state is reduced
+    as it arrives; three are held."""
+    reduction = MomentumResidual(eps)
     for state in states:
         reduction.push(state)
     return reduction.result()

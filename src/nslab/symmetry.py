@@ -1,10 +1,11 @@
 """Symmetry group of the periodic Navier-Stokes system.
 
 Each transform acts on problem data (apply) and on the states of a stream
-(state_map), one state at a time.  Spatial shifts by arbitrary (non-grid)
-offsets are Fourier phase factors, exact for band-limited fields.  The
-Galilean family tracks the non-periodic pressure part x . a(t) as the
-linear pressure vector a of each state.
+(state_map), one state at a time, forcing included.  Spatial shifts by
+arbitrary (non-grid) offsets are Fourier phase factors, exact for
+band-limited fields.  The Galilean family tracks the non-periodic pressure
+part x . a(t) as the linear pressure vector a of each state.  The pressure
+gauge p -> p + C(t) is the forcing gauge of the spatial constant C(t).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "SpaceTranslate",
     "TimeTranslate",
     "Scale",
-    "PressureShift",
     "Galilean",
     "Forcing",
     "apply",
@@ -55,17 +55,6 @@ class Scale:
             raise ValueError("scaling factor must be positive")
 
 
-@dataclass(frozen=True)
-class PressureShift:
-    """Adds the constants C(t) (sampled on the subject's time grid) to the
-    pressure."""
-
-    C: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "C", tuple(float(c) for c in np.atleast_1d(self.C)))
-
-
 class Galilean:
     """Moving-frame change u -> u(x - int v) + v with the non-periodic
     pressure correction -x . v'(t).  v, and v' when given, are samples
@@ -83,26 +72,23 @@ class Galilean:
     def on_times(self, times):
         """Samples of v, its path integral and derivative on a time grid."""
         times = np.asarray(times, dtype=float)
-        if len(self.v) == 1:
-            v = np.broadcast_to(self.v, (len(times), 3)).copy()
-        elif len(self.v) == len(times):
-            v = self.v
-        else:
-            own = np.linspace(times[0], times[-1], len(self.v))
-            v = np.column_stack(
-                [np.interp(times, own, self.v[:, i]) for i in range(3)]
-            )
+        v = _on_times(self.v, times)
         X = cumulative_trapezoid(v, times)
-        vd = np.gradient(v, times, axis=0)
-        if self.v_dot is not None:
-            if len(self.v_dot) == 1:
-                vd = np.broadcast_to(self.v_dot, (len(times), 3)).copy()
-            else:
-                own = np.linspace(times[0], times[-1], len(self.v_dot))
-                vd = np.column_stack(
-                    [np.interp(times, own, self.v_dot[:, i]) for i in range(3)]
-                )
-        return v, X, vd
+        if self.v_dot is None:
+            return v, X, np.gradient(v, times, axis=0)
+        return v, X, _on_times(self.v_dot, times)
+
+
+def _on_times(samples, times):
+    """Vector samples evenly spaced over the span of times, interpolated
+    onto times; one sample is a constant."""
+    if len(samples) == 1:
+        return np.broadcast_to(samples, (len(times), 3)).copy()
+    if len(samples) == len(times):
+        return samples
+    own = np.linspace(times[0], times[-1], len(samples))
+    return np.column_stack(
+        [np.interp(times, own, samples[:, i]) for i in range(3)])
 
 
 @dataclass(frozen=True)
@@ -120,7 +106,10 @@ class Forcing:
 
 
 def _phase_shift(field, x0):
-    """field(x) -> field(x - x0), exact on coefficients."""
+    """field(x) -> field(x - x0), exact on coefficients; no field (an
+    unforced state's forcing, None) stays None."""
+    if field is None:
+        return None
     grid = field.grid
     kx, ky, kz = grid.wavenumbers()
     phase = np.exp(
@@ -155,8 +144,6 @@ def apply(tr, data: DataTriple) -> DataTriple:
         u0 = VectorField(g2, data.u0.coeffs / lam)
         f = [VectorField(g2, fk.coeffs / lam**3) for fk in data.f]
         return DataTriple(u0, f, lam**2 * data.T)
-    if isinstance(tr, PressureShift):
-        return data
     if isinstance(tr, Galilean):
         times = data.f_times() if len(data.f) >= 2 else np.array([0.0, data.T])
         v, X, _ = tr.on_times(times)
@@ -183,15 +170,17 @@ def state_map(tr, times):
     """The action of a symmetry transform on the states of a stream stored
     at the given times, which are known before its first state arrives.
 
-    Returns a function of (j, t, u, p, a), the j-th state with its pressure
-    p and linear pressure vector a(t) (or None), that gives the image
-    (t, u, p, a); for a time translation it gives None for the states
-    before the new origin, and the image stream is the tail.
+    Returns a function of (j, t, u, p, a, f), the j-th state with its
+    pressure p, linear pressure vector a(t) (or None) and forcing f (or
+    None), that gives the image (t, u, p, a, f); for a time translation it
+    gives None for the states before the new origin, and the image stream
+    is the tail.
     """
     times = np.asarray(times, dtype=float)
     if isinstance(tr, SpaceTranslate):
-        return lambda j, t, u, p, a: (t, _phase_shift(u, tr.x0),
-                                      _phase_shift(p, tr.x0), a)
+        return lambda j, t, u, p, a, f: (
+            t, _phase_shift(u, tr.x0), _phase_shift(p, tr.x0), a,
+            _phase_shift(f, tr.x0))
     if isinstance(tr, TimeTranslate):
         T = float(times[-1])
         if not (0.0 <= tr.t0 <= T + 1e-12 * max(T, 1.0)):
@@ -200,40 +189,33 @@ def state_map(tr, times):
         if not np.any(keep):
             raise ValueError("time shift leaves no samples")
         first = int(np.argmax(keep))
-        return lambda j, t, u, p, a: (
-            None if j < first else (t - tr.t0, u, p, a))
+        return lambda j, t, u, p, a, f: (
+            None if j < first else (t - tr.t0, u, p, a, f))
     if isinstance(tr, Scale):
         lam = tr.lam
 
-        def image(j, t, u, p, a):
+        def image(j, t, u, p, a, f):
             g2 = sp.make_grid(lam * u.grid.L, u.grid.N)
             return (t * lam**2, VectorField(g2, u.coeffs / lam),
                     ScalarField(g2, p.coeffs / lam**2),
-                    None if a is None else a / lam**3)
-        return image
-    if isinstance(tr, PressureShift):
-        C = np.asarray(tr.C, dtype=float)
-        if len(C) == 1:
-            C = np.full(len(times), C[0])
-        if len(C) != len(times):
-            raise ValueError("pressure shift samples must match stored times")
-
-        def image(j, t, u, p, a):
-            coeffs = p.coeffs.copy()
-            coeffs[0, 0, 0] += C[j]
-            return t, u, ScalarField(p.grid, coeffs), a
+                    None if a is None else a / lam**3,
+                    None if f is None else VectorField(g2, f.coeffs / lam**3))
         return image
     if isinstance(tr, Galilean):
         v, X, vd = tr.on_times(times)
-        return lambda j, t, u, p, a: (
+        return lambda j, t, u, p, a, f: (
             t, _add_mean(_phase_shift(u, X[j]), v[j]), _phase_shift(p, X[j]),
-            (np.zeros(3) if a is None else a) - vd[j])
+            (np.zeros(3) if a is None else a) - vd[j], _phase_shift(f, X[j]))
     if isinstance(tr, Forcing):
-        q = tr.q * len(times) if len(tr.q) == 1 else tr.q
-        if len(q) != len(times):
+        if len(tr.q) not in (1, len(times)):
             raise ValueError("forcing shift samples must match stored times")
-        return lambda j, t, u, p, a: (
-            t, u, ScalarField(p.grid, p.coeffs + q[j].coeffs), a)
+        # each sample's gradient is taken once; one sample serves all states
+        each = len(times) // len(tr.q)
+        q, grads = tr.q * each, [sp.gradient(qk) for qk in tr.q] * each
+        return lambda j, t, u, p, a, f: (
+            t, u, ScalarField(p.grid, p.coeffs + q[j].coeffs), a,
+            grads[j] if f is None
+            else VectorField(f.grid, f.coeffs + grads[j].coeffs))
     raise TypeError(f"unknown transform {type(tr).__name__}")
 
 

@@ -56,7 +56,8 @@ def rows_of(stream, data):
 
 
 def images(tr, stream, times):
-    """The image under tr of a stream of (t, u, p, a) stored at times."""
+    """The image under tr of a stream of (t, u, p, a, f) stored at
+    times."""
     image = state_map(tr, times)
     for j, state in enumerate(stream):
         out = image(j, *state)

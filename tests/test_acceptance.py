@@ -142,7 +142,7 @@ def test_exact_solutions_and_time_convergence(grid32):
     tg[0] = np.sin(tau * x) * np.cos(tau * y)
     tg[1] = -np.cos(tau * x) * np.sin(tau * y)
     data = DataTriple(sp.vector_from_samples(grid32, tg), [], 1.0)
-    _, u, p, _ = list(pressured(
+    _, u, p, _, _ = list(pressured(
         march(data, SolverConfig(dt=1e-3, store_every=100)), data))[-1]
     tg_err = float(np.max(np.abs(
         np.real(u.samples()) - tg * np.exp(-2.0 * tau**2))))
@@ -160,7 +160,7 @@ def test_exact_solutions_and_time_convergence(grid32):
     for dt in dts:
         d = DataTriple(sp.vector_from_samples(wide, u0), [], 0.1)
         stream = pressured(march(d, SolverConfig(dt=dt)), d)
-        res.append(float(np.max(residual(stream, d, 0.0))))
+        res.append(float(np.max(residual(stream, 0.0))))
     slope = float(np.polyfit(np.log(dts), np.log(res), 1)[0])
 
     elapsed = time.time() - t0
@@ -242,7 +242,7 @@ def test_bounded_total_speed_suite(tmp_path, grid16):
     traj = evolve(data, SolverConfig(dt=1e-3))
     _, ratio = total_speed(states(traj), data)
     scaled = images(Scale(2.0), pressured(states(traj), data), traj.times)
-    _, scaled_ratio = total_speed(((t, u) for t, u, _, _ in scaled),
+    _, scaled_ratio = total_speed(((t, u) for t, u, *_ in scaled),
                                   apply(Scale(2.0), data))
     drift = abs(scaled_ratio - ratio) / ratio
     pinned_drift = shipped_drift(manifests)

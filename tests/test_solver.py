@@ -26,7 +26,7 @@ from nslab.solver import (
 )
 from nslab import solver
 from nslab.spaces import DataTriple, xs_distance
-from nslab.symmetry import Scale, apply
+from nslab.symmetry import Scale
 
 from conftest import images, random_divfree, random_vector, rows_of, states
 
@@ -266,7 +266,8 @@ def test_planar_vortex_array_decays_exactly(grid16):
 
 def test_planar_vortex_array_pressure_closed_form(grid16):
     data = taylor_green_data(grid16, amp=0.9, T=0.02)
-    t, _, p, _ = list(pressured(march(data, SolverConfig(dt=1e-3)), data))[-1]
+    t, _, p, _, _ = list(pressured(march(data, SolverConfig(dt=1e-3)),
+                                   data))[-1]
     tau = 2.0 * np.pi
     x, y, _ = grid16.nodes()
     expect = 0.25 * 0.9**2 * np.exp(-4.0 * tau**2 * t) * (
@@ -305,7 +306,7 @@ def test_energy_decreases_without_forcing(short_run):
 
 def test_residual_is_small_on_a_solver_run(short_run):
     data, cfg, traj, _ = short_run
-    res = residual(pressured(states(traj), data), data, cfg.eps)
+    res = residual(pressured(states(traj), data), cfg.eps)
     # central differencing carries its own O(dt^2) error floor, largest
     # while the fast modes still move; the tail settles well below it
     assert np.max(res) < 0.5
@@ -317,7 +318,7 @@ def test_residual_needs_three_samples(grid8):
     u = random_divfree(grid8, seed=10, kmax=2)
     data = DataTriple(u, [], 1.0)
     with pytest.raises(ValueError, match="three"):
-        residual(pressured(zip([0.0, 0.1], [u, u]), data), data, 0.0)
+        residual(pressured(zip([0.0, 0.1], [u, u]), data), 0.0)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
@@ -344,7 +345,7 @@ def test_residual_shrinks_with_dt(grid16):
     res = {}
     for dt in (2e-3, 1e-3):
         stream = pressured(march(data, SolverConfig(dt=dt)), data)
-        res[dt] = float(np.max(residual(stream, data, 0.0)))
+        res[dt] = float(np.max(residual(stream, 0.0)))
     # the probe is second order, so halving dt should cut it near 4x
     assert res[1e-3] < 0.4 * res[2e-3]
 
@@ -404,13 +405,15 @@ def test_picard_store_every_subsamples_the_fixed_point_bit_for_bit(grid16):
                               dense.velocities[n].coeffs)
     d = rows_of(states(sparse), data)
     assert np.array_equal(d.t, sparse.times)
-    pressures = [p for _, _, p, _ in pressured(states(sparse), data)]
+    streamed = list(pressured(states(sparse), data))
     for j, (t, v) in enumerate(zip(sparse.times, sparse.velocities)):
         f = data.f_at(t)
+        # each state carries the forcing sample its pressure was made with
+        assert np.array_equal(streamed[j][4].coeffs, f.coeffs)
         row = (d.energy[j], d.grad_sq[j], d.lap_sq[j], d.enstrophy[j],
                d.f_inner[j])
         assert row == _diag_row(v, f)
-        assert np.array_equal(pressures[j].coeffs,
+        assert np.array_equal(streamed[j][2].coeffs,
                               normalised_pressure(v, f).coeffs)
 
 
@@ -450,12 +453,12 @@ def test_residual_reads_the_hyperdissipation_coefficient(grid16):
     data = DataTriple(random_divfree(grid16, seed=14, kmax=3), [], 0.01)
     eps = 1e-3
     traj = evolve(data, SolverConfig(dt=1e-4, eps=eps))
-    base = residual(pressured(states(traj), data), data, eps)
+    base = residual(pressured(states(traj), data), eps)
     assert np.max(base) < 0.1
-    assert np.max(residual(pressured(states(traj), data), data, 0.0)) > 1.0
+    assert np.max(residual(pressured(states(traj), data), 0.0)) > 1.0
     scaled = residual(
         images(Scale(2.0), pressured(states(traj), data), traj.times),
-        apply(Scale(2.0), data), 4.0 * eps)
+        4.0 * eps)
     assert np.allclose(scaled, 2.0**-1.5 * base, rtol=1e-12, atol=0.0)
 
 

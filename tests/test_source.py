@@ -98,8 +98,6 @@ def test_the_command_line_loads_no_quadrature_package():
 REACHED_ONLY_BY_TESTS = {
     ("spectral", "read_field"): "reads the solve experiment's field dump "
                                 "back; tests check the dump through it",
-    ("spectral", "scalar_from_coeffs"): "the scalar twin of "
-                                        "vector_from_coeffs",
     ("divfree", "flux_check"): "the flux verdict the ROADMAP plans is "
                                "built on it",
     ("packet", "x0_pairing"): "reference that tests compare "
@@ -108,6 +106,10 @@ REACHED_ONLY_BY_TESTS = {
                                  "pairing_from_spec against",
     ("packet", "mass_one_bump"): "reference that tests compare "
                                  "pairing_from_spec against",
+    ("symmetry", "apply"): "the action on problem data: the commutation "
+                           "check of ROADMAP item 4 solves "
+                           "evolve(apply(g, data)), and the total-speed "
+                           "acceptance test reads apply(Scale(2.0), data)",
     ("solver", "evolve"): "the march's states held as a Trajectory; tests "
                           "hold solves with it, and bench/tracing.py wraps "
                           "it by name",
